@@ -1,7 +1,14 @@
-"""Directive-wise equality of normalized policies."""
+"""Directive-wise equality of normalized policies.
+
+Each normalized policy has a hashable canonical key (NormalizedPolicy.key)
+that is equal exactly when compare() finds no differing directive. A page
+can deliver several policies, and its policies compare as a multiset of
+keys, so set equality and unmatched leftovers are Counter arithmetic.
+"""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .normalize import NormalizedPolicy
@@ -44,23 +51,27 @@ def compare(a: NormalizedPolicy, b: NormalizedPolicy) -> ComparisonResult:
     )
 
 
+def policy_set_key(policies: list[NormalizedPolicy]) -> tuple:
+    """Hashable form of a policy multiset, () for no policy.
+
+    Two lists get equal keys exactly when policy_sets_equal holds for them.
+    """
+    return tuple(sorted(p.key for p in policies))
+
+
 def policy_sets_equal(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> bool:
     """Multiset equality of two policy lists under compare-equality.
 
     Pages can ship several policies (multiple headers plus meta tags);
     delivery order does not matter but multiplicity does.
     """
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for pa in a:
-        for i, pb in enumerate(remaining):
-            if compare(pa, pb).equal:
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    return Counter(p.key for p in a) == Counter(p.key for p in b)
+
+
+def _surplus(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> list[NormalizedPolicy]:
+    by_key = {p.key: p for p in a}
+    surplus = Counter(p.key for p in a) - Counter(p.key for p in b)
+    return [by_key[key] for key in surplus.elements()]
 
 
 def unmatched_policies(
@@ -71,14 +82,26 @@ def unmatched_policies(
     Used to explain why two policy sets differ: every cross pairing of the
     two leftover lists is guaranteed unequal.
     """
-    left = list(a)
-    right = list(b)
-    kept: list[NormalizedPolicy] = []
-    for pa in left:
-        for i, pb in enumerate(right):
-            if compare(pa, pb).equal:
-                del right[i]
-                break
-        else:
-            kept.append(pa)
-    return kept, right
+    return _surplus(a, b), _surplus(b, a)
+
+
+def difference_evidence(
+    a: list[NormalizedPolicy], b: list[NormalizedPolicy]
+) -> frozenset[str]:
+    """Directives that explain why two policy lists are not multiset-equal.
+
+    This is the union of compare()'s differing directives over every
+    pairing of a's unmatched policies with b's. A directive is in it
+    exactly when the leftovers of both sides do not all hold one value for
+    it, absence counting as a value. When one side has no leftover, the
+    difference is pure multiplicity: the surplus deliveries themselves are
+    the discrepancy, so everything they restrict is named.
+    """
+    left, right = unmatched_policies(a, b)
+    names = {name for policy in left + right for name in policy.directives}
+    if not left or not right:
+        return frozenset(names)
+    return frozenset(
+        name for name in names
+        if len({policy.directives.get(name) for policy in left + right}) > 1
+    )

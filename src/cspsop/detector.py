@@ -8,12 +8,13 @@ the stricter side's policy can be subverted from the weaker one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
-from .compare import compare, policy_sets_equal, unmatched_policies
+from .compare import difference_evidence, policy_set_key, policy_sets_equal
 from .crawler import STATUS_OK, PageRecord
 from .normalize import NormalizedPolicy, normalize
-from .origins import SuffixTable, relaxable_to, same_origin
+from .origins import Origin, SuffixTable, relaxable_to, same_origin
 
 RELATION_SAME_ORIGIN = "same-origin"
 RELATION_RELAXABLE = "relaxable"
@@ -109,22 +110,6 @@ def _relation(parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None) -
     return RELATION_UNRELATED
 
 
-def _difference_evidence(
-    a: list[NormalizedPolicy], b: list[NormalizedPolicy]
-) -> frozenset[str]:
-    left, right = unmatched_policies(a, b)
-    evidence: set[str] = set()
-    for pa in left:
-        for pb in right:
-            evidence |= compare(pa, pb).differing_directives
-    if not evidence:
-        # Pure multiplicity difference: the surplus deliveries themselves
-        # are the discrepancy, so name everything they restrict.
-        for policy in left + right:
-            evidence |= set(policy.directives)
-    return frozenset(evidence)
-
-
 def classify_pair(
     parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None = None
 ) -> PairClassification:
@@ -141,7 +126,7 @@ def classify_pair(
     if policy_sets_equal(parent_policies, iframe_policies):
         return PairClassification(relation, CATEGORY_NO_VIOLATION)
     return PairClassification(
-        relation, CATEGORY_DIFFERENT, _difference_evidence(parent_policies, iframe_policies)
+        relation, CATEGORY_DIFFERENT, difference_evidence(parent_policies, iframe_policies)
     )
 
 
@@ -167,6 +152,19 @@ class PageVerdicts:
     relaxed: str = VERDICT_NONE
 
 
+@dataclass(frozen=True)
+class Ratio:
+    count: int
+    denominator: int
+
+    @property
+    def percent(self) -> float:
+        return 0.0 if self.denominator == 0 else round(100.0 * self.count / self.denominator, 2)
+
+    def to_dict(self) -> dict:
+        return {"count": self.count, "denominator": self.denominator, "percent": self.percent}
+
+
 @dataclass
 class GranularityCounts:
     """Flag totals for one peer granularity, in pages/origins/sites."""
@@ -182,6 +180,9 @@ class GranularityCounts:
     def pages_total(self) -> int:
         return self.pages_peer_no_csp + self.pages_peer_diff_csp
 
+    def to_dict(self) -> dict:
+        return {**asdict(self), "pages_total": self.pages_total}
+
 
 @dataclass
 class PotentialViolationReport:
@@ -193,27 +194,68 @@ class PotentialViolationReport:
     flagged_pages_total: int  # distinct pages flagged at either granularity
     verdicts: list[PageVerdicts] = field(default_factory=list)
 
+    def to_dict(self) -> dict:
+        return {
+            "pages_with_csp": self.pages_with_csp,
+            "origins_with_csp": self.origins_with_csp,
+            "sites_with_csp": self.sites_with_csp,
+            "same_origin": self.same_origin.to_dict(),
+            "relaxed": self.relaxed.to_dict(),
+            "flagged_pages_total": Ratio(self.flagged_pages_total, self.pages_with_csp).to_dict(),
+            "verdicts": [
+                {"url": v.url, "same_origin": v.same_origin, "relaxed": v.relaxed}
+                for v in self.verdicts
+            ],
+        }
 
-def _group_key_origin(record: PageRecord):
-    return record.origin
+    def rows(self) -> list[list[str]]:
+        rows = [["statistic", "pages", "origins", "sites"]]
+        for label, counts in (("same-origin", self.same_origin), ("relaxed-origin", self.relaxed)):
+            rows.append([
+                f"{label}: a peer page has no CSP", str(counts.pages_peer_no_csp),
+                str(counts.origins_peer_no_csp), str(counts.sites_peer_no_csp),
+            ])
+            rows.append([
+                f"{label}: a peer page has a different CSP", str(counts.pages_peer_diff_csp),
+                str(counts.origins_peer_diff_csp), str(counts.sites_peer_diff_csp),
+            ])
+            rows.append([f"{label}: total", str(counts.pages_total), "-", "-"])
+        share = Ratio(self.flagged_pages_total, self.pages_with_csp)
+        rows.append([
+            "potential violations total (distinct pages)",
+            f"{share.count} ({share.percent}% of {share.denominator})", "-", "-",
+        ])
+        return rows
 
 
-def _group_key_relaxed(record: PageRecord):
-    return (record.site, record.origin.scheme, record.origin.port)
+def peer_groups(corpus: list[PageRecord]) -> tuple[list, dict]:
+    """Fetched pages with their policy-set keys, counted per peer group.
+
+    Returns (pages, counts). pages lists (record, relaxed group, policy-set
+    key) in corpus order; a page without an enforced CSP has the key ().
+    counts maps each relaxed group (site, scheme, port) to its origins, and
+    each origin to a Counter of its pages' keys. The normalized policies
+    are not kept, so memory holds keys only.
+    """
+    pages = []
+    counts: dict[tuple, dict[Origin, Counter]] = {}
+    for record in corpus:
+        if record.fetch_status != STATUS_OK or record.origin is None:
+            continue
+        key = policy_set_key(normalized_enforced(record))
+        group = (record.site, record.origin.scheme, record.origin.port)
+        counts.setdefault(group, {}).setdefault(record.origin, Counter())[key] += 1
+        pages.append((record, group, key))
+    return pages, counts
 
 
-def _peer_verdict(
-    mine: list[NormalizedPolicy], peers: list[PageRecord],
-    cache: dict[int, list[NormalizedPolicy]],
-) -> str:
-    diff_seen = False
-    for peer in peers:
-        peer_policies = cache[id(peer)]
-        if not peer_policies:
-            return VERDICT_PEER_NO_CSP
-        if not diff_seen and not policy_sets_equal(mine, peer_policies):
-            diff_seen = True
-    return VERDICT_PEER_DIFF_CSP if diff_seen else VERDICT_NONE
+def _verdict(peers: Counter, key: tuple) -> str:
+    """Verdict for a CSP page with policy-set key `key`, given its peers'
+    Counter of keys. The page itself may be counted among them: it adds
+    one to both sides of the comparison and nothing to the no-CSP key ()."""
+    if peers[()]:
+        return VERDICT_PEER_NO_CSP
+    return VERDICT_PEER_DIFF_CSP if peers.total() > peers[key] else VERDICT_NONE
 
 
 def potential_violations(
@@ -226,17 +268,15 @@ def potential_violations(
     runs against relaxed-origin peers (same site, scheme and port but a
     different origin, reachable via document.domain).
     """
-    pages = [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
-    cache = {id(r): normalized_enforced(r) for r in pages}
+    pages, counts = peer_groups(corpus)
+    # The relaxed peers of an origin are the rest of its group.
+    rx_peers = {}
+    for group, origins in counts.items():
+        total = sum(origins.values(), Counter())
+        for origin, keys in origins.items():
+            rx_peers[group, origin] = total - keys
 
-    by_origin: dict[object, list[PageRecord]] = {}
-    by_relaxed: dict[object, list[PageRecord]] = {}
-    for record in pages:
-        by_origin.setdefault(_group_key_origin(record), []).append(record)
-        if record.site is not None:
-            by_relaxed.setdefault(_group_key_relaxed(record), []).append(record)
-
-    csp_pages = [r for r in pages if cache[id(r)]]
+    csp_pages = [record for record, _, key in pages if key]
     report = PotentialViolationReport(
         pages_with_csp=len(csp_pages),
         origins_with_csp=len({r.origin for r in csp_pages}),
@@ -249,18 +289,13 @@ def potential_violations(
     flagged: dict[str, set] = {
         "so_no": set(), "so_diff": set(), "rx_no": set(), "rx_diff": set(),
     }
-    for record in csp_pages:
-        mine = cache[id(record)]
-        so_peers = [r for r in by_origin[_group_key_origin(record)] if r is not record]
-        so_verdict = _peer_verdict(mine, so_peers, cache)
+    for record, group, key in pages:
+        if not key:
+            continue
+        so_verdict = _verdict(counts[group][record.origin], key)
         rx_verdict = VERDICT_NONE
         if record.site is not None:
-            rx_peers = [
-                r
-                for r in by_relaxed[_group_key_relaxed(record)]
-                if r is not record and r.origin != record.origin
-            ]
-            rx_verdict = _peer_verdict(mine, rx_peers, cache)
+            rx_verdict = _verdict(rx_peers[group, record.origin], key)
         if so_verdict != VERDICT_NONE or rx_verdict != VERDICT_NONE:
             report.verdicts.append(
                 PageVerdicts(url=record.url, same_origin=so_verdict, relaxed=rx_verdict)

@@ -11,9 +11,10 @@ of canonical source strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .origins import DEFAULT_PORTS, Origin
-from .policy import ENFORCE, VALUE_LIST_DIRECTIVES, Policy, SourceExpression
+from .policy import ENFORCE, Policy, SourceExpression
 
 # Fetch directives that inherit from default-src. frame-ancestors,
 # report-uri and sandbox never inherit.
@@ -50,12 +51,16 @@ class NormalizedPolicy:
     page_origin: Origin
     provenance: Policy | None = field(compare=False, default=None)
 
+    @cached_property
+    def key(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """Hashable canonical form: (directive, sorted sources) pairs sorted
+        by directive. Two keys are equal exactly when compare() reports the
+        policies equal; the page origin is not part of it."""
+        return tuple((name, tuple(sorted(srcs))) for name, srcs in sorted(self.directives.items()))
+
     def serialize(self) -> str:
         """Deterministic policy string that re-normalizes to this value."""
-        parts = []
-        for name in sorted(self.directives):
-            parts.append(" ".join([name, *sorted(self.directives[name])]).strip())
-        return "; ".join(parts)
+        return "; ".join(" ".join((name, *sources)) for name, sources in self.key)
 
 
 def _strip_default_port(scheme: str, host_part: str, port: str | None, path: str) -> str:
@@ -128,11 +133,9 @@ def normalize(
     default = policy.directives.get("default-src")
     for name, directive in policy.directives.items():
         if name == "sandbox":
-            out[name] = frozenset(sorted(directive.opaque_values))
+            out[name] = frozenset(directive.opaque_values)
         elif name == "report-uri":
             out[name] = frozenset(v.strip() for v in directive.opaque_values)
-        elif name in VALUE_LIST_DIRECTIVES:
-            out[name] = frozenset(directive.opaque_values)
         else:
             out[name] = normalize_sources(directive.sources, page_origin)
 

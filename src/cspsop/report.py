@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .compare import policy_sets_equal
+from .compare import difference_evidence
 from .crawler import DEPTH_HOME, STATUS_OK, PageRecord
 from .detector import (
     CATEGORY_DIFFERENT,
@@ -25,10 +26,10 @@ from .detector import (
     RELATION_SAME_ORIGIN,
     RELATION_UNRELATED,
     PairClassification,
-    PotentialViolationReport,
-    _difference_evidence,
+    Ratio,
     classify_pair,
     normalized_enforced,
+    peer_groups,
 )
 from .origins import SuffixTable, UnsupportedUrlError, origin_of
 
@@ -40,19 +41,6 @@ CATEGORIES = (
     CATEGORY_NO_CSP,
 )
 RELATIONS = (RELATION_SAME_ORIGIN, RELATION_RELAXABLE)
-
-
-@dataclass(frozen=True)
-class Ratio:
-    count: int
-    denominator: int
-
-    @property
-    def percent(self) -> float:
-        return 0.0 if self.denominator == 0 else round(100.0 * self.count / self.denominator, 2)
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "denominator": self.denominator, "percent": self.percent}
 
 
 def _ok(corpus: list[PageRecord]) -> list[PageRecord]:
@@ -342,92 +330,31 @@ def page_set_diffs(
 ) -> list[PairClassification]:
     """Differing-CSP classifications over peer PAGE couples (not iframes).
 
-    Groups pages by origin (or by site+scheme+port for the relaxed flavor)
-    and emits one classification per unordered couple of CSP-bearing pages
-    whose policy sets are unequal. Feeds the directive-difference histogram
-    for page-level potential violations.
+    Pairs pages of one origin (or, for the relaxed flavor, of one site,
+    scheme and port but different origins) and emits one classification
+    per unordered couple of CSP-bearing pages whose policy sets are
+    unequal, in no particular order. Feeds the directive-difference
+    histogram for page-level potential violations.
     """
-    pages = [r for r in _ok(corpus) if r.site]
-    cache = {id(r): normalized_enforced(r) for r in pages}
-    groups: dict[object, list[PageRecord]] = {}
-    for record in pages:
-        if relation == RELATION_SAME_ORIGIN:
-            key: object = record.origin
-        else:
-            key = (record.site, record.origin.scheme, record.origin.port)
-        groups.setdefault(key, []).append(record)
+    pages, counts = peer_groups(corpus)
+    holders = {key: record for record, _, key in pages}  # normalized again for evidence only
     out = []
-    for members in groups.values():
-        with_csp = [r for r in members if cache[id(r)]]
-        for a, b in combinations(with_csp, 2):
-            if relation != RELATION_SAME_ORIGIN and a.origin == b.origin:
-                continue
-            if policy_sets_equal(cache[id(a)], cache[id(b)]):
-                continue
-            out.append(
-                PairClassification(
-                    relation=relation,
-                    category=CATEGORY_DIFFERENT,
-                    evidence=_difference_evidence(cache[id(a)], cache[id(b)]),
+    for (site, _, _), origins in counts.items():
+        if not site:
+            continue
+        keys = sum(origins.values(), Counter())
+        del keys[()]
+        # Evidence is worked out once per pair of distinct policy-set keys
+        # and repeated for every couple of pages that hold them.
+        for a, b in combinations(keys, 2):
+            same_origin = sum(by_key[a] * by_key[b] for by_key in origins.values())
+            couples = same_origin if relation == RELATION_SAME_ORIGIN else keys[a] * keys[b] - same_origin
+            if couples:
+                evidence = difference_evidence(
+                    normalized_enforced(holders[a]), normalized_enforced(holders[b])
                 )
-            )
+                out += [PairClassification(relation, CATEGORY_DIFFERENT, evidence)] * couples
     return out
-
-
-def _potential_rows(report: PotentialViolationReport) -> list[list[str]]:
-    rows = [["statistic", "pages", "origins", "sites"]]
-    for label, counts in (
-        ("same-origin", report.same_origin),
-        ("relaxed-origin", report.relaxed),
-    ):
-        rows.append(
-            [
-                f"{label}: a peer page has no CSP",
-                str(counts.pages_peer_no_csp),
-                str(counts.origins_peer_no_csp),
-                str(counts.sites_peer_no_csp),
-            ]
-        )
-        rows.append(
-            [
-                f"{label}: a peer page has a different CSP",
-                str(counts.pages_peer_diff_csp),
-                str(counts.origins_peer_diff_csp),
-                str(counts.sites_peer_diff_csp),
-            ]
-        )
-        rows.append([f"{label}: total", str(counts.pages_total), "-", "-"])
-    share = Ratio(report.flagged_pages_total, report.pages_with_csp)
-    rows.append(["potential violations total (distinct pages)", f"{share.count} ({share.percent}% of {share.denominator})", "-", "-"])
-    return rows
-
-
-def _potential_dict(report: PotentialViolationReport) -> dict:
-    def counts(c) -> dict:
-        return {
-            "pages_peer_no_csp": c.pages_peer_no_csp,
-            "origins_peer_no_csp": c.origins_peer_no_csp,
-            "sites_peer_no_csp": c.sites_peer_no_csp,
-            "pages_peer_diff_csp": c.pages_peer_diff_csp,
-            "origins_peer_diff_csp": c.origins_peer_diff_csp,
-            "sites_peer_diff_csp": c.sites_peer_diff_csp,
-            "pages_total": c.pages_total,
-        }
-
-    return {
-        "pages_with_csp": report.pages_with_csp,
-        "origins_with_csp": report.origins_with_csp,
-        "sites_with_csp": report.sites_with_csp,
-        "same_origin": counts(report.same_origin),
-        "relaxed": counts(report.relaxed),
-        "flagged_pages_total": Ratio(
-            report.flagged_pages_total, report.pages_with_csp
-        ).to_dict(),
-        "verdicts": [
-            {"url": v.url, "same_origin": v.same_origin, "relaxed": v.relaxed}
-            for v in report.verdicts
-        ],
-    }
 
 
 FORMAT_TEXT = "text-table"
@@ -435,23 +362,11 @@ FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
 
 
-def _rows_of(report) -> list[list[str]]:
-    if isinstance(report, PotentialViolationReport):
-        return _potential_rows(report)
-    return report.rows()
-
-
-def _dict_of(report) -> dict:
-    if isinstance(report, PotentialViolationReport):
-        return _potential_dict(report)
-    return report.to_dict()
-
-
 def render(report, fmt: str = FORMAT_TEXT) -> bytes:
     """Serialize any report object to text-table, json, or csv bytes."""
     if fmt == FORMAT_JSON:
-        return (json.dumps(_dict_of(report), indent=2, sort_keys=True) + "\n").encode()
-    rows = _rows_of(report)
+        return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+    rows = report.rows()
     if fmt == FORMAT_CSV:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)

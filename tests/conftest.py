@@ -91,7 +91,10 @@ def fixture_site():
     site = FixtureSite()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(site))
     site.port = server.server_address[1]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield site

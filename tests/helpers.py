@@ -8,6 +8,7 @@ from cspsop.crawler import PageRecord
 from cspsop.normalize import normalize
 from cspsop.origins import NoRegistrableDomainError, origin_of, site_of
 from cspsop.policy import ENFORCE, REPORT_ONLY, parse_policy
+from oracles import _unmatched, oracle_compare
 
 
 def make_page(
@@ -57,6 +58,22 @@ def record_to_oracle_page(record: PageRecord) -> dict:
         "any_csp": bool(record.policies),
         "iframes": list(record.iframes_same_site),
     }
+
+
+def oracle_evidence(a: list[dict], b: list[dict]) -> set[str]:
+    """Directive evidence for two oracle policy lists, by the rule of
+    oracles.oracle_directive_diff: the all-pairs union of differing
+    directives between the unmatched policies, or every directive of the
+    surplus when that union is empty."""
+    left, right = _unmatched(a, b)
+    evidence: set[str] = set()
+    for pa in left:
+        for pb in right:
+            evidence |= oracle_compare(pa, pb)
+    if not evidence:
+        for policy in left + right:
+            evidence |= set(policy)
+    return evidence
 
 
 # Policy pool for synthetic corpora: several distinct policies, a couple of

@@ -4,12 +4,19 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspsop.compare import compare, policy_sets_equal, unmatched_policies
+from cspsop.compare import (
+    compare,
+    difference_evidence,
+    policy_set_key,
+    policy_sets_equal,
+    unmatched_policies,
+)
 from cspsop.normalize import normalize
 from cspsop.origins import Origin
 from cspsop.policy import parse_policy
 from grammar import policy_text
-from oracles import oracle_compare, oracle_normalize
+from helpers import oracle_evidence
+from oracles import _multiset_equal, oracle_compare, oracle_normalize
 
 MAIN = Origin("http", "main.com", 80)
 
@@ -124,12 +131,14 @@ def test_exhaustive_tiny_alphabet_matches_bruteforce():
     policies = _tiny_policies()
     assert len(policies) == 81
     for da, db in product(policies, repeat=2):
-        result = compare(_as_normalized(da), _as_normalized(db))
+        a, b = _as_normalized(da), _as_normalized(db)
+        result = compare(a, b)
         expected = oracle_compare(
             {k: set(v) for k, v in da.items()}, {k: set(v) for k, v in db.items()}
         )
         assert result.differing_directives == frozenset(expected)
         assert result.equal == (not expected)
+        assert (a.key == b.key) == result.equal
 
 
 @given(st.integers(0, 2**32), st.integers(0, 2**32))
@@ -138,10 +147,41 @@ def test_symmetry_on_fuzzed_pairs(seed_a, seed_b):
     a = norm(policy_text(random.Random(seed_a)))
     b = norm(policy_text(random.Random(seed_b)))
     assert compare(a, b).differing_directives == compare(b, a).differing_directives
+    assert (a.key == b.key) == compare(a, b).equal
 
 
 @given(st.integers(0, 2**32))
 @settings(max_examples=200)
 def test_reflexivity_on_fuzzed_policies(seed):
-    a = norm(policy_text(random.Random(seed)))
+    text = policy_text(random.Random(seed))
+    a, b = norm(text), norm(text)
     assert compare(a, a).equal
+    assert (a.key == b.key) == compare(a, b).equal
+
+
+def _as_oracle(policy):
+    return {k: set(v) for k, v in policy.directives.items()}
+
+
+@st.composite
+def _index_list_pair(draw):
+    """Two lists of 0-3 indices into a pool of three policies, the second
+    often a permutation of the first, so that duplicates and equal
+    multisets in another order are common."""
+    first = draw(st.lists(st.integers(0, 2), max_size=3))
+    second = draw(st.permutations(first) | st.lists(st.integers(0, 2), max_size=3))
+    return first, second
+
+
+@given(st.lists(st.integers(0, 2**32), min_size=3, max_size=3), _index_list_pair())
+@settings(max_examples=300)
+def test_policy_sets_match_oracle_on_fuzzed_lists(seeds, picks):
+    picks_a, picks_b = picks
+    pool = [norm(policy_text(random.Random(seed))) for seed in seeds]
+    a = [pool[i] for i in picks_a]
+    b = [pool[i] for i in picks_b]
+    oracle_a, oracle_b = [_as_oracle(p) for p in a], [_as_oracle(p) for p in b]
+    expected_equal = _multiset_equal(oracle_a, oracle_b)
+    assert policy_sets_equal(a, b) == expected_equal
+    assert (policy_set_key(a) == policy_set_key(b)) == expected_equal
+    assert difference_evidence(a, b) == frozenset(oracle_evidence(oracle_a, oracle_b))

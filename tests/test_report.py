@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -31,9 +34,12 @@ from helpers import (
     make_corpus,
     make_page,
     make_violation_corpus,
+    oracle_evidence,
     record_to_oracle_page,
 )
 from oracles import (
+    _multiset_equal,
+    _relation,
     oracle_adoption,
     oracle_directive_diff,
     oracle_potential,
@@ -201,6 +207,22 @@ class TestDirectiveDiffHistogram:
         histogram = directive_diff_histogram(same_origin)
         assert histogram.fractions["script-src"].percent == 100.0
 
+    @pytest.mark.parametrize("seed", [5, 13, 29])
+    @pytest.mark.parametrize("relation", [RELATION_SAME_ORIGIN, RELATION_RELAXABLE])
+    def test_page_set_diffs_match_bruteforce(self, seed, relation):
+        corpus = make_corpus(seed=seed, sites=3, pages_per_site=40)
+        pages = [record_to_oracle_page(r) for r in corpus if r.site]
+        expected = Counter(
+            (relation, frozenset(oracle_evidence(p["policies"], q["policies"])))
+            for p, q in combinations(pages, 2)
+            if _relation(p, q) == relation
+            and p["policies"] and q["policies"]
+            and not _multiset_equal(p["policies"], q["policies"])
+        )
+        actual = Counter((c.relation, c.evidence) for c in page_set_diffs(corpus, relation))
+        assert expected
+        assert actual == expected
+
 
 class TestPotentialReportRendering:
     def test_row_shape(self):
@@ -243,6 +265,14 @@ class TestRender:
         table = violation_table(make_violation_corpus())
         golden = (GOLDEN_DIR / "violations.txt").read_bytes()
         assert render(table, FORMAT_TEXT) == golden
+
+    @pytest.mark.parametrize("fmt,suffix", [(FORMAT_TEXT, "txt"), (FORMAT_JSON, "json")])
+    def test_potential_golden(self, fmt, suffix):
+        # Shuffled so that origins interleave: verdicts must stay in corpus order.
+        corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
+        random.Random(1).shuffle(corpus)
+        golden = (GOLDEN_DIR / f"potential.{suffix}").read_bytes()
+        assert render(potential_violations(corpus), fmt) == golden
 
 
 def test_full_recount_on_mid_corpus():
