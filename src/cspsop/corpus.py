@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator
 
 from .crawler import PageRecord
 from .origins import Origin
-from .policy import parse_policy
+from .policy import DELIVERIES, DISPOSITIONS, Policy, parse_policy
 
 FORMAT_NAME = "cspsop-corpus"
 SCHEMA_VERSION = 1
@@ -54,7 +54,34 @@ def record_to_dict(record: PageRecord) -> dict:
     }
 
 
-def record_from_dict(data: dict) -> PageRecord:
+def _policy_from_dict(data: dict, parsed: dict[tuple[str, str, str], Policy]) -> Policy:
+    raw, disposition, delivery = data["raw"], data["disposition"], data["delivery"]
+    if not isinstance(raw, str):
+        raise CorpusFormatError(f"policy raw text is {type(raw).__name__}, not a string")
+    if disposition not in DISPOSITIONS:
+        raise CorpusFormatError(f"unknown policy disposition {disposition!r}")
+    if delivery not in DELIVERIES:
+        raise CorpusFormatError(f"unknown policy delivery {delivery!r}")
+    key = (raw, disposition, delivery)
+    policy = parsed.get(key)
+    if policy is None:
+        policy = parsed[key] = parse_policy(raw, disposition, delivery)
+    return policy
+
+
+def record_from_dict(
+    data: dict, parsed: dict[tuple[str, str, str], Policy] | None = None
+) -> PageRecord:
+    """Rebuild one record from its JSON object.
+
+    parsed maps (raw, disposition, delivery) to the Policy already built
+    for it. Records read with the same map share one frozen Policy per
+    distinct entry, so a text is parsed once however often it repeats.
+    """
+    if not isinstance(data, dict):
+        raise CorpusFormatError(f"record is {type(data).__name__}, not an object")
+    if parsed is None:
+        parsed = {}
     origin = data.get("origin")
     return PageRecord(
         url=data["url"],
@@ -64,10 +91,7 @@ def record_from_dict(data: dict) -> PageRecord:
         http_status=data.get("http_status"),
         origin=None if origin is None else Origin(origin["scheme"], origin["host"], origin["port"]),
         site=data.get("site"),
-        policies=[
-            parse_policy(p["raw"], p["disposition"], p["delivery"])
-            for p in data.get("policies", [])
-        ],
+        policies=[_policy_from_dict(p, parsed) for p in data.get("policies", [])],
         links_same_site=list(data.get("links_same_site", [])),
         iframes_same_site=list(data.get("iframes_same_site", [])),
         srcdoc_iframes=data.get("srcdoc_iframes", 0),
@@ -132,7 +156,12 @@ def _parse_header(line: str) -> dict:
 
 
 def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
-    """Stream records one line at a time; the file is never fully buffered."""
+    """Stream records one line at a time; the file is never fully buffered.
+
+    Each distinct policy is parsed once per read: records that carry the
+    same (raw, disposition, delivery) share one Policy object.
+    """
+    parsed: dict[tuple[str, str, str], Policy] = {}
     with _open(path, "r") as fh:
         _parse_header(fh.readline())
         for lineno, line in enumerate(fh, start=2):
@@ -141,7 +170,7 @@ def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
                 continue
             try:
                 data = json.loads(line)
-                yield record_from_dict(data)
+                yield record_from_dict(data, parsed)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(str(exc), line=lineno) from exc
 

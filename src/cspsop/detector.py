@@ -89,15 +89,36 @@ _MITIGATIONS = {
 }
 
 
+# Normalized forms of recent (policy text, disposition, page origin)
+# inputs. Corpora are site-ordered, so a small memo catches the repeats.
+# It is cleared when full rather than grown: retaining thousands of
+# NormalizedPolicy objects on corpora that rarely repeat makes the cyclic
+# garbage collector cost more than the normalizations saved.
+NORMALIZE_MEMO_SIZE = 64
+_normalized: dict[tuple[str, str, Origin], NormalizedPolicy] = {}
+
+
 def normalized_enforced(record: PageRecord) -> list[NormalizedPolicy]:
     """Enforced policies of a record, normalized against its origin.
 
     Report-only policies are excluded: they record violations but restrict
-    nothing, so they cannot be violated.
+    nothing, so they cannot be violated. A policy's raw text determines it
+    (see Policy), so equal texts at one origin may share one
+    NormalizedPolicy, whose provenance is then the Policy of the record
+    normalized first.
     """
     if record.origin is None:
         return []
-    return [normalize(p, record.origin) for p in record.enforced_policies()]
+    out = []
+    for policy in record.enforced_policies():
+        key = (policy.raw, policy.disposition, record.origin)
+        normalized = _normalized.get(key)
+        if normalized is None:
+            if len(_normalized) >= NORMALIZE_MEMO_SIZE:
+                _normalized.clear()
+            normalized = _normalized[key] = normalize(policy, record.origin)
+        out.append(normalized)
+    return out
 
 
 def _relation(parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None) -> str:

@@ -14,6 +14,8 @@ ENFORCE = "enforce"
 REPORT_ONLY = "report-only"
 HTTP_HEADER = "http-header"
 META_ELEMENT = "meta-element"
+DISPOSITIONS = frozenset({ENFORCE, REPORT_ONLY})
+DELIVERIES = frozenset({HTTP_HEADER, META_ELEMENT})
 
 CSP_HEADER = "content-security-policy"
 CSP_REPORT_ONLY_HEADER = "content-security-policy-report-only"
@@ -117,7 +119,9 @@ class Policy:
 
     Equality is structural over directives/disposition/delivery; the original
     text and warnings are carried but not compared, so a reparse of the
-    serialized form equals the original.
+    serialized form equals the original. Policies are built by parse_policy,
+    so raw text, disposition and delivery determine the rest: callers may
+    memoize by them and share one Policy between records.
     """
 
     directives: dict[str, Directive]

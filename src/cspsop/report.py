@@ -96,8 +96,11 @@ def adoption_stats(corpus: list[PageRecord]) -> AdoptionReport:
     """Adoption counts.
 
     Definitions: pages = successfully fetched records; a page "has CSP"
-    here under any disposition (report-only included); iframe CSP presence
-    is resolved through the iframe's own record when the corpus has one.
+    here under any disposition (report-only included). A page has a
+    same-origin iframe when one of its same-site iframe URLs has the page's
+    origin, whether or not the iframe's own record was fetched; iframe CSP
+    presence is resolved through the iframe's fetched record when the
+    corpus has one, so a failed or missing iframe brings no CSP.
     """
     pages = _ok(corpus)
     by_url = {r.url: r for r in pages}

@@ -1,13 +1,26 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cspsop.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from cspsop.corpus import read_corpus, write_corpus
+from cspsop.corpus import read_corpus, record_to_dict, write_corpus
 from helpers import make_violation_corpus
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 STRICT_CSP = "default-src 'none'; script-src 'self'; child-src 'self'"
+
+
+def _record_with_policy(**policy) -> dict:
+    record = record_to_dict(make_violation_corpus()[0])
+    record["policies"] = [{"raw": STRICT_CSP, "disposition": "enforce", "delivery": "http-header", **policy}]
+    return record
+
+
+def _corpus_text(record) -> str:
+    header = {"format": "cspsop-corpus", "schema": 1, "created": "2026-01-01T00:00:00+00:00"}
+    return json.dumps(header) + "\n" + json.dumps(record) + "\n"
 
 
 class TestUsage:
@@ -185,10 +198,24 @@ class TestCrawlAndAnalyze:
     def test_missing_corpus_exits_2(self, capsys, tmp_path):
         assert main(["analyze", "--corpus", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 
-    def test_corrupt_corpus_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "not a corpus\n",
+            _corpus_text([1]),
+            _corpus_text(_record_with_policy(raw=5)),
+            _corpus_text(_record_with_policy(raw=["default-src 'self'"])),
+            _corpus_text(_record_with_policy(disposition="enforced")),
+            _corpus_text(_record_with_policy(delivery="header")),
+        ],
+        ids=["not-a-corpus", "record-not-object", "raw-int", "raw-list", "bad-disposition",
+             "bad-delivery"],
+    )
+    def test_corrupt_corpus_exits_2(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("not a corpus\n")
+        bad.write_text(content)
         assert main(["analyze", "--corpus", str(bad)]) == EXIT_IO
+        assert "line" in capsys.readouterr().err
 
 
 class TestRecommend:

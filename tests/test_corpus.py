@@ -8,9 +8,11 @@ from cspsop.corpus import (
     iter_corpus,
     read_corpus,
     read_corpus_header,
+    record_from_dict,
     record_to_dict,
     write_corpus,
 )
+from cspsop.policy import ENFORCE, META_ELEMENT, parse_policy
 from helpers import make_corpus, make_page
 
 
@@ -66,6 +68,27 @@ class TestErrors:
         assert excinfo.value.line == 3
         assert "line 3" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            {"raw": 5, "disposition": "enforce", "delivery": "http-header"},
+            {"raw": "img-src 'none'", "disposition": "block", "delivery": "http-header"},
+            {"raw": "img-src 'none'", "disposition": "enforce", "delivery": "meta"},
+        ],
+        ids=["raw-not-string", "unknown-disposition", "unknown-delivery"],
+    )
+    def test_malformed_policy_cites_line_number(self, records, tmp_path, policy):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(records, path)
+        lines = path.read_text().splitlines()
+        data = json.loads(lines[2])
+        data["policies"].append(policy)
+        lines[2] = json.dumps(data)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as excinfo:
+            read_corpus(path)
+        assert excinfo.value.line == 3
+
     def test_schema_mismatch(self, records, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_corpus(records, path)
@@ -116,3 +139,30 @@ def test_iter_corpus_is_streaming(records, tmp_path):
     first = next(iterator)
     assert first == records[0]
     assert list(iterator) == records[1:]
+
+
+class TestPolicySharing:
+    def test_equal_policies_share_one_object(self, tmp_path):
+        corpus = make_corpus(seed=3, sites=2, pages_per_site=40)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        loaded = read_corpus(path)
+        objects: dict[tuple, set[int]] = {}
+        for record in loaded:
+            for p in record.policies:
+                objects.setdefault((p.raw, p.disposition, p.delivery), set()).add(id(p))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len(objects) < sum(len(r.policies) for r in loaded)
+        lines = path.read_text().splitlines()[1:]
+        assert loaded == [record_from_dict(json.loads(line)) for line in lines]
+
+    def test_delivery_is_part_of_the_identity(self, tmp_path):
+        text = "default-src 'self'"
+        header, meta = make_page("http://a.com/", text), make_page("http://a.com/m")
+        meta.policies = [parse_policy(text, ENFORCE, META_ELEMENT)]
+        path = tmp_path / "corpus.jsonl"
+        write_corpus([header, meta, make_page("http://a.com/h", text)], path)
+        loaded = read_corpus(path)
+        assert loaded[0].policies[0] is loaded[2].policies[0]
+        assert loaded[1].policies[0] is not loaded[0].policies[0]
+        assert loaded[1].policies[0].delivery == META_ELEMENT

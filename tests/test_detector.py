@@ -10,14 +10,19 @@ from cspsop.detector import (
     CATEGORY_ONLY_IFRAME,
     CATEGORY_ONLY_PARENT,
     DOMAIN_FREEZE_SNIPPET,
+    NORMALIZE_MEMO_SIZE,
     RELATION_RELAXABLE,
     RELATION_SAME_ORIGIN,
     RELATION_UNRELATED,
     PairClassification,
     classify_pair,
+    normalized_enforced,
     potential_violations,
     recommend,
 )
+from cspsop.normalize import normalize
+from cspsop.origins import origin_of
+from cspsop.policy import parse_policy
 from grammar import origin_triple, policy_text
 from helpers import make_corpus, make_page, record_to_oracle_page
 from oracles import oracle_potential
@@ -102,6 +107,25 @@ class TestClassifyPair:
         iframe.origin = parent.origin  # failed but same origin known from URL
         result = classify_pair(parent, iframe)
         assert result.category == CATEGORY_ONLY_PARENT
+
+
+class TestNormalizedEnforced:
+    def test_memo_keeps_origins_apart(self):
+        text = "default-src 'self'; script-src cdn.net"
+        origins = ("http://a.com", "https://a.com", "http://a.com:8080")
+        forms = [normalized_enforced(make_page(f"{o}/p", text))[0] for o in origins]
+        assert len({form.key for form in forms}) == len(origins)
+        for origin, form in zip(origins, forms):
+            assert form == normalize(parse_policy(text), origin_of(origin))
+
+    def test_memo_matches_fresh_normalization(self):
+        corpus = make_corpus(seed=5, sites=4, pages_per_site=60)
+        random.Random(2).shuffle(corpus)
+        inputs = {(p.raw, r.origin) for r in corpus for p in r.enforced_policies()}
+        assert len(inputs) > NORMALIZE_MEMO_SIZE  # eviction runs
+        for record in corpus:
+            expected = [normalize(p, record.origin) for p in record.enforced_policies()]
+            assert normalized_enforced(record) == expected
 
 
 def _random_record(rng: random.Random):

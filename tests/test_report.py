@@ -73,6 +73,19 @@ class TestAdoptionStats:
         assert report.pages_with_csp.denominator == report.pages_visited == 10
         assert report.pages_with_csp.percent == 40.0
 
+    def test_failed_same_origin_iframe_counts_by_url(self):
+        # The iframe record failed: its URL still gives both parents a
+        # same-origin iframe, but it brings no CSP of its own.
+        dead = "http://a.com/dead.html"
+        corpus = [
+            make_page("http://a.com/", "img-src 'self'", iframes=[dead]),
+            make_page("http://a.com/p", iframes=[dead], depth="linked"),
+            make_page(dead, depth="iframe-of-home", fetch_status="network-error"),
+        ]
+        report = adoption_stats(corpus)
+        assert report.pages_with_same_origin_iframes == 2
+        assert report.pages_with_so_iframe_and_csp == 1
+
     def test_failed_fetches_not_counted_as_pages(self):
         report = adoption_stats(make_adoption_corpus())
         # the corpus holds 11 records, one of which failed
