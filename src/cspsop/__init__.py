@@ -10,7 +10,7 @@ browser conformance fixtures for the srcdoc sandbox corner case.
 
 from .compare import ComparisonResult, compare, policy_sets_equal
 from .corpus import read_corpus, write_corpus
-from .crawler import CrawlConfig, IframeRefs, PageRecord, crawl_site, crawl_sites, extract_iframes, extract_links, fetch
+from .crawler import CrawlConfig, PageRecord, crawl_site, crawl_sites, fetch
 from .detector import (
     Mitigation,
     PairClassification,
@@ -49,7 +49,6 @@ __all__ = [
     "CrawlConfig",
     "Directive",
     "FixtureCase",
-    "IframeRefs",
     "Mitigation",
     "NAIVE_SUFFIXES",
     "NoRegistrableDomainError",
@@ -70,8 +69,6 @@ __all__ = [
     "crawl_sites",
     "csp_per_site_distribution",
     "directive_diff_histogram",
-    "extract_iframes",
-    "extract_links",
     "extract_policies",
     "fetch",
     "generate_fixture",

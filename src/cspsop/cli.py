@@ -171,22 +171,24 @@ def build_parser() -> _Parser:
     p.add_argument("--resolve", action="append", metavar="HOST=ADDR[:PORT]")
     p.add_argument("--user-agent")
 
-    p = sub.add_parser("analyze", help="compute report tables over a corpus")
-    p.add_argument("--corpus", required=True)
+    corpus_args = argparse.ArgumentParser(add_help=False)
+    corpus_args.add_argument("--corpus", required=True)
+    corpus_args.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    corpus_args.add_argument("--out", help="write to file instead of stdout")
+
+    p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
     p.add_argument(
         "--table",
         choices=["adoption", "violations", "potential", "directive-diff", "csp-per-site"],
         default="adoption",
     )
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out", help="write to file instead of stdout")
-    p.add_argument("--naive-sites", action="store_true")
+    p.add_argument(
+        "--naive-sites", action="store_true",
+        help="last-two-labels sites in the relaxable test of couples",
+    )
 
-    p = sub.add_parser("potential", help="shortcut for analyze --table potential")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--out")
-    p.add_argument("--naive-sites", action="store_true")
+    p = sub.add_parser("potential", parents=[corpus_args], help="shortcut for analyze --table potential")
+    p.set_defaults(table="potential")
 
     p = sub.add_parser("recommend", help="mitigations for a classified couple")
     p.add_argument(
@@ -317,22 +319,21 @@ _RENDER_FORMATS = {
 }
 
 
-def _cmd_analyze(args, table: str | None = None) -> int:
+def _cmd_analyze(args) -> int:
     corpus = read_corpus(args.corpus)
     psl = NAIVE_SUFFIXES if getattr(args, "naive_sites", False) else None
-    table = table or args.table
-    if table == "adoption":
+    if args.table == "adoption":
         result = report_mod.adoption_stats(corpus)
-    elif table == "violations":
+    elif args.table == "violations":
         result = report_mod.violation_table(corpus, psl)
-    elif table == "potential":
-        result = potential_violations(corpus, psl)
-    elif table == "csp-per-site":
+    elif args.table == "potential":
+        result = potential_violations(corpus)
+    elif args.table == "csp-per-site":
         result = report_mod.csp_per_site_distribution(corpus)
     else:
         pairs = [p.classification for p in report_mod.build_pairs(corpus, psl)]
         result = report_mod.directive_diff_histogram(pairs)
-    _emit(report_mod.render(result, _RENDER_FORMATS[args.format]), getattr(args, "out", None))
+    _emit(report_mod.render(result, _RENDER_FORMATS[args.format]), args.out)
     return EXIT_OK
 
 
@@ -373,23 +374,21 @@ _COMMANDS = {
     "audit-pair": _cmd_audit_pair,
     "crawl": _cmd_crawl,
     "analyze": _cmd_analyze,
-    "potential": lambda args: _cmd_analyze(args, table="potential"),
+    "potential": _cmd_analyze,
     "recommend": _cmd_recommend,
     "fixtures": _cmd_fixtures,
 }
 
 
-def cli_dispatch(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        if args.command == "parse" and args.policy is None and args.file is None:
-            raise UsageError("parse requires --policy or --file")
-        if args.command == "normalize" and args.policy is None and args.file is None:
-            raise UsageError("normalize requires --policy or --file")
+        if args.command in ("parse", "normalize") and args.policy is None and args.file is None:
+            raise UsageError(f"{args.command} requires --policy or --file")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -398,16 +397,9 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except UnsupportedUrlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CorpusFormatError as exc:
+    except (CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-
-def main(argv: list[str] | None = None) -> int:
-    return cli_dispatch(argv)
 
 
 if __name__ == "__main__":

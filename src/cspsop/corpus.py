@@ -69,6 +69,20 @@ def _policy_from_dict(data: dict, parsed: dict[tuple[str, str, str], Policy]) ->
     return policy
 
 
+def _typed(value, name: str, *types: type):
+    """value itself, if it is one of types; a bool is never taken for an int."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+        raise CorpusFormatError(f"{name} is {type(value).__name__}, not {expected}")
+    return value
+
+
+def _str_list(value, name: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise CorpusFormatError(f"{name} is not a list of strings")
+    return list(value)
+
+
 def record_from_dict(
     data: dict, parsed: dict[tuple[str, str, str], Policy] | None = None
 ) -> PageRecord:
@@ -77,24 +91,31 @@ def record_from_dict(
     parsed maps (raw, disposition, delivery) to the Policy already built
     for it. Records read with the same map share one frozen Policy per
     distinct entry, so a text is parsed once however often it repeats.
+    A field of the wrong JSON type is a CorpusFormatError.
     """
     if not isinstance(data, dict):
         raise CorpusFormatError(f"record is {type(data).__name__}, not an object")
     if parsed is None:
         parsed = {}
-    origin = data.get("origin")
+    origin = _typed(data.get("origin"), "origin", dict, type(None))
+    if origin is not None:
+        origin = Origin(
+            _typed(origin["scheme"], "origin scheme", str),
+            _typed(origin["host"], "origin host", str),
+            _typed(origin["port"], "origin port", int),
+        )
     return PageRecord(
-        url=data["url"],
-        final_url=data["final_url"],
-        depth=data["depth"],
-        fetch_status=data["fetch_status"],
-        http_status=data.get("http_status"),
-        origin=None if origin is None else Origin(origin["scheme"], origin["host"], origin["port"]),
-        site=data.get("site"),
+        url=_typed(data["url"], "url", str),
+        final_url=_typed(data["final_url"], "final_url", str),
+        depth=_typed(data["depth"], "depth", str),
+        fetch_status=_typed(data["fetch_status"], "fetch_status", str),
+        http_status=_typed(data.get("http_status"), "http_status", int, type(None)),
+        origin=origin,
+        site=_typed(data.get("site"), "site", str, type(None)),
         policies=[_policy_from_dict(p, parsed) for p in data.get("policies", [])],
-        links_same_site=list(data.get("links_same_site", [])),
-        iframes_same_site=list(data.get("iframes_same_site", [])),
-        srcdoc_iframes=data.get("srcdoc_iframes", 0),
+        links_same_site=_str_list(data.get("links_same_site", []), "links_same_site"),
+        iframes_same_site=_str_list(data.get("iframes_same_site", []), "iframes_same_site"),
+        srcdoc_iframes=_typed(data.get("srcdoc_iframes", 0), "srcdoc_iframes", int),
     )
 
 

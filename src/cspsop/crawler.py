@@ -12,7 +12,6 @@ import hashlib
 import http.client
 import json
 import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -56,7 +55,6 @@ class CrawlConfig:
     max_iframes_per_page: int = 50
     timeout: float = 30.0
     politeness_delay: float = 0.5
-    parallel_per_site: int = 1
     parallel_sites: int = 4
     max_redirects: int = 5
     body_cap: int = 5 * 1024 * 1024
@@ -68,7 +66,7 @@ class CrawlConfig:
 
     def __post_init__(self) -> None:
         for name in ("max_pages_per_site", "max_links_per_page", "max_iframes_per_page",
-                     "parallel_per_site", "parallel_sites"):
+                     "parallel_sites"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.timeout <= 0:
@@ -113,14 +111,6 @@ class PageRecord:
 
     def has_any_csp(self) -> bool:
         return bool(self.policies)
-
-
-@dataclass
-class IframeRefs:
-    """Same-site iframe URLs plus a marker count for inline srcdoc frames."""
-
-    urls: list[str]
-    srcdoc_count: int = 0
 
 
 class _DocumentScan(HTMLParser):
@@ -178,24 +168,6 @@ def _same_site_urls(
             seen.add(absolute)
             out.append(absolute)
     return out
-
-
-def extract_links(
-    body: str, base: str, site: SiteKey, psl: SuffixTable | None = None
-) -> list[str]:
-    """Same-site anchor targets of an HTML document."""
-    return _same_site_urls(scan_document(body).hrefs, base, site, psl)
-
-
-def extract_iframes(
-    body: str, base: str, site: SiteKey, psl: SuffixTable | None = None
-) -> IframeRefs:
-    """Same-site iframe URLs; srcdoc iframes counted separately."""
-    scan = scan_document(body)
-    return IframeRefs(
-        urls=_same_site_urls(scan.iframe_srcs, base, site, psl),
-        srcdoc_count=scan.srcdoc_count,
-    )
 
 
 def _connection_target(origin: Origin, config: CrawlConfig) -> tuple[str, int]:
@@ -295,24 +267,6 @@ def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None
     return record
 
 
-class _PoliteFetcher:
-    """Spaces request starts per site; parallel workers share the spacing."""
-
-    def __init__(self, config: CrawlConfig):
-        self.config = config
-        self._lock = threading.Lock()
-        self._next_allowed = 0.0
-
-    def __call__(self, url: str) -> FetchResult:
-        if self.config.politeness_delay > 0:
-            with self._lock:
-                wait = self._next_allowed - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                self._next_allowed = time.monotonic() + self.config.politeness_delay
-        return fetch(url, self.config)
-
-
 def _load_robots(origin: Origin, config: CrawlConfig) -> robotparser.RobotFileParser | None:
     result = fetch(origin.ascii_serialization() + "/robots.txt", config)
     if result.status != STATUS_OK:
@@ -329,7 +283,8 @@ def crawl_site(
 
     Every visited URL yields exactly one record (failures included) and no
     URL is fetched twice. Pages that redirect off-site become leaf records:
-    their outgoing references are never followed.
+    their outgoing references are never followed. Requests are made one at
+    a time, their starts at least config.politeness_delay apart.
     """
     config = config or CrawlConfig()
     if config.naive_sites:
@@ -339,9 +294,9 @@ def crawl_site(
     seed_site = _site_or_host(seed_origin.host, psl)
 
     robots = _load_robots(seed_origin, config) if config.respect_robots else None
-    polite_fetch = _PoliteFetcher(config)
     records: list[PageRecord] = []
     visited: set[str] = set()
+    next_allowed = 0.0
 
     def allowed(url: str) -> bool:
         if robots is None:
@@ -352,23 +307,18 @@ def crawl_site(
             return True
 
     def visit_batch(urls: list[str], depth: str) -> list[PageRecord]:
-        batch: list[str] = []
-        for url in urls:
-            if len(visited) + len(batch) >= config.max_pages_per_site:
-                break
-            if url in visited or url in batch or not allowed(url):
-                continue
-            batch.append(url)
-        if not batch:
-            return []
-        if config.parallel_per_site > 1 and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=config.parallel_per_site) as pool:
-                results = list(pool.map(polite_fetch, batch))
-        else:
-            results = [polite_fetch(url) for url in batch]
+        nonlocal next_allowed
         out = []
-        for result in results:
-            record = build_record(result, depth, psl)
+        for url in urls:
+            if len(visited) >= config.max_pages_per_site:
+                break
+            if url in visited or not allowed(url):
+                continue
+            wait = next_allowed - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
+            next_allowed = time.monotonic() + config.politeness_delay
+            record = build_record(fetch(url, config), depth, psl)
             visited.add(record.url)
             records.append(record)
             out.append(record)
@@ -409,12 +359,6 @@ def crawl_sites(
 ) -> list[PageRecord]:
     """Crawl many seeds, sites in parallel, each site politely serialized."""
     config = config or CrawlConfig()
-    out: list[PageRecord] = []
-    if config.parallel_sites > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_sites) as pool:
-            for site_records in pool.map(lambda s: crawl_site(s, config, psl), seeds):
-                out.extend(site_records)
-    else:
-        for seed in seeds:
-            out.extend(crawl_site(seed, config, psl))
-    return out
+    with ThreadPoolExecutor(max_workers=config.parallel_sites) as pool:
+        sites = pool.map(lambda seed: crawl_site(seed, config, psl), seeds)
+        return [record for site_records in sites for record in site_records]

@@ -98,6 +98,12 @@ NORMALIZE_MEMO_SIZE = 64
 _normalized: dict[tuple[str, str, Origin], NormalizedPolicy] = {}
 
 
+def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
+    """Records that were fetched and have an origin: the pages every
+    table counts."""
+    return [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
+
+
 def normalized_enforced(record: PageRecord) -> list[NormalizedPolicy]:
     """Enforced policies of a record, normalized against its origin.
 
@@ -260,9 +266,7 @@ def peer_groups(corpus: list[PageRecord]) -> tuple[list, dict]:
     """
     pages = []
     counts: dict[tuple, dict[Origin, Counter]] = {}
-    for record in corpus:
-        if record.fetch_status != STATUS_OK or record.origin is None:
-            continue
+    for record in analyzable_pages(corpus):
         key = policy_set_key(normalized_enforced(record))
         group = (record.site, record.origin.scheme, record.origin.port)
         counts.setdefault(group, {}).setdefault(record.origin, Counter())[key] += 1
@@ -279,9 +283,7 @@ def _verdict(peers: Counter, key: tuple) -> str:
     return VERDICT_PEER_DIFF_CSP if peers.total() > peers[key] else VERDICT_NONE
 
 
-def potential_violations(
-    corpus: list[PageRecord], psl: SuffixTable | None = None
-) -> PotentialViolationReport:
+def potential_violations(corpus: list[PageRecord]) -> PotentialViolationReport:
     """Pages whose CSP could be subverted by embedding a weaker peer page.
 
     A page with an enforced CSP is flagged when another page of the same

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .origins import DEFAULT_PORTS, Origin
-from .policy import ENFORCE, Policy, SourceExpression
+from .policy import Policy, SourceExpression
 
 # Fetch directives that inherit from default-src. frame-ancestors,
 # report-uri and sandbox never inherit.
@@ -32,10 +32,6 @@ FALLBACK_DIRECTIVES = (
 # Most permissive fill-ins used when default-src is absent.
 PERMISSIVE_SCRIPT = frozenset({"*", "'unsafe-inline'", "'unsafe-eval'"})
 PERMISSIVE_FETCH = frozenset({"*"})
-
-
-class ReportOnlyPolicyError(ValueError):
-    """Raised when an enforce-only caller is handed a report-only policy."""
 
 
 @dataclass(frozen=True)
@@ -118,17 +114,11 @@ def normalize_sources(
     return frozenset(out)
 
 
-def normalize(
-    policy: Policy, page_origin: Origin, enforce_only: bool = False
-) -> NormalizedPolicy:
+def normalize(policy: Policy, page_origin: Origin) -> NormalizedPolicy:
     """Rewrite a parsed policy into its canonical comparable form.
 
-    With enforce_only=True a report-only policy is rejected; otherwise
-    report-only policies normalize exactly like enforced ones.
+    Report-only policies normalize exactly like enforced ones.
     """
-    if enforce_only and policy.disposition != ENFORCE:
-        raise ReportOnlyPolicyError("policy is report-only")
-
     out: dict[str, frozenset[str]] = {}
     default = policy.directives.get("default-src")
     for name, directive in policy.directives.items():

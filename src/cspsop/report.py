@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .compare import difference_evidence
-from .crawler import DEPTH_HOME, STATUS_OK, PageRecord
+from .crawler import DEPTH_HOME, PageRecord
 from .detector import (
     CATEGORY_DIFFERENT,
     CATEGORY_NO_CSP,
@@ -27,6 +27,7 @@ from .detector import (
     RELATION_UNRELATED,
     PairClassification,
     Ratio,
+    analyzable_pages,
     classify_pair,
     normalized_enforced,
     peer_groups,
@@ -41,10 +42,6 @@ CATEGORIES = (
     CATEGORY_NO_CSP,
 )
 RELATIONS = (RELATION_SAME_ORIGIN, RELATION_RELAXABLE)
-
-
-def _ok(corpus: list[PageRecord]) -> list[PageRecord]:
-    return [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
 
 
 @dataclass
@@ -102,7 +99,7 @@ def adoption_stats(corpus: list[PageRecord]) -> AdoptionReport:
     presence is resolved through the iframe's fetched record when the
     corpus has one, so a failed or missing iframe brings no CSP.
     """
-    pages = _ok(corpus)
+    pages = analyzable_pages(corpus)
     by_url = {r.url: r for r in pages}
     sites = {r.site for r in pages if r.site}
 
@@ -165,7 +162,7 @@ class SiteCspHistogram:
 
 
 def csp_per_site_distribution(corpus: list[PageRecord]) -> SiteCspHistogram:
-    pages = _ok(corpus)
+    pages = analyzable_pages(corpus)
     per_site: dict[str, list[PageRecord]] = {}
     for record in pages:
         if record.site:
@@ -189,30 +186,19 @@ class ClassifiedPair:
     classification: PairClassification
 
 
-def build_pairs(
-    corpus: list[PageRecord],
-    psl: SuffixTable | None = None,
-    include_siblings: bool = False,
-) -> list[ClassifiedPair]:
+def build_pairs(corpus: list[PageRecord], psl: SuffixTable | None = None) -> list[ClassifiedPair]:
     """(parent, iframe) couples: each page joined with the records of its
     same-site iframes. Iframes missing from the corpus cannot be classified
     and are skipped.
-
-    include_siblings additionally pairs the iframes of one parent with each
-    other; sibling frames share the parent's document just as transitively,
-    but are excluded by default to keep counts comparable.
     """
-    pages = _ok(corpus)
+    pages = analyzable_pages(corpus)
     by_url = {r.url: r for r in pages}
-    pairs = []
-    for parent in pages:
-        embedded = [by_url[u] for u in parent.iframes_same_site if u in by_url]
-        for iframe in embedded:
-            pairs.append(ClassifiedPair(parent, iframe, classify_pair(parent, iframe, psl)))
-        if include_siblings:
-            for left, right in combinations(embedded, 2):
-                pairs.append(ClassifiedPair(left, right, classify_pair(left, right, psl)))
-    return pairs
+    return [
+        ClassifiedPair(parent, by_url[url], classify_pair(parent, by_url[url], psl))
+        for parent in pages
+        for url in parent.iframes_same_site
+        if url in by_url
+    ]
 
 
 @dataclass
@@ -259,12 +245,8 @@ class ViolationTable:
         return out
 
 
-def violation_table(
-    corpus: list[PageRecord],
-    psl: SuffixTable | None = None,
-    include_siblings: bool = False,
-) -> ViolationTable:
-    pairs = build_pairs(corpus, psl, include_siblings=include_siblings)
+def violation_table(corpus: list[PageRecord], psl: SuffixTable | None = None) -> ViolationTable:
+    pairs = build_pairs(corpus, psl)
     cells = {category: {rel: 0 for rel in RELATIONS} for category in CATEGORIES}
     excluded = 0
     for pair in pairs:
@@ -314,22 +296,15 @@ def directive_diff_histogram(classifications: list[PairClassification]) -> Direc
         for c in classifications
         if c.category == CATEGORY_DIFFERENT and c.relation != RELATION_UNRELATED
     ]
-    histogram = DirectiveDiffHistogram(pairs_total=len(differing))
-    if not differing:
-        return histogram
-    counts: dict[str, int] = {}
-    for classification in differing:
-        for name in classification.evidence:
-            counts[name] = counts.get(name, 0) + 1
-    histogram.fractions = {
-        name: Ratio(count, len(differing)) for name, count in counts.items()
-    }
-    return histogram
+    counts = Counter(name for classification in differing for name in classification.evidence)
+    return DirectiveDiffHistogram(
+        fractions={name: Ratio(count, len(differing)) for name, count in counts.items()},
+        pairs_total=len(differing),
+    )
 
 
 def page_set_diffs(
-    corpus: list[PageRecord], relation: str = RELATION_SAME_ORIGIN,
-    psl: SuffixTable | None = None,
+    corpus: list[PageRecord], relation: str = RELATION_SAME_ORIGIN
 ) -> list[PairClassification]:
     """Differing-CSP classifications over peer PAGE couples (not iframes).
 
@@ -375,8 +350,6 @@ def render(report, fmt: str = FORMAT_TEXT) -> bytes:
         csv.writer(buffer, lineterminator="\n").writerows(rows)
         return buffer.getvalue().encode()
     if fmt == FORMAT_TEXT:
-        if not rows:
-            return b"\n"
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
         lines.insert(1, "-" * max(len(line) for line in lines))

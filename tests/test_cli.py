@@ -5,7 +5,7 @@ import pytest
 
 from cspsop.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from cspsop.corpus import read_corpus, record_to_dict, write_corpus
-from helpers import make_violation_corpus
+from helpers import make_page, make_violation_corpus
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -16,6 +16,15 @@ def _record_with_policy(**policy) -> dict:
     record = record_to_dict(make_violation_corpus()[0])
     record["policies"] = [{"raw": STRICT_CSP, "disposition": "enforce", "delivery": "http-header", **policy}]
     return record
+
+
+def _record_with(**fields) -> dict:
+    return {**record_to_dict(make_violation_corpus()[0]), **fields}
+
+
+def _origin_with(**fields) -> dict:
+    record = record_to_dict(make_violation_corpus()[0])
+    return {**record, "origin": {**record["origin"], **fields}}
 
 
 def _corpus_text(record) -> str:
@@ -207,15 +216,66 @@ class TestCrawlAndAnalyze:
             _corpus_text(_record_with_policy(raw=["default-src 'self'"])),
             _corpus_text(_record_with_policy(disposition="enforced")),
             _corpus_text(_record_with_policy(delivery="header")),
+            _corpus_text(_origin_with(scheme=5)),
+            _corpus_text(_origin_with(host=["a.com"])),
+            _corpus_text(_origin_with(port=True)),
+            _corpus_text(_record_with(iframes_same_site="http://v.com/x")),
+            _corpus_text(_record_with(links_same_site="http://v.com/x")),
+            _corpus_text(_record_with(links_same_site=[1])),
+            _corpus_text(_record_with(site=5)),
+            _corpus_text(_record_with(url=5)),
+            _corpus_text(_record_with(http_status="200")),
+            _corpus_text(_record_with(srcdoc_iframes="1")),
         ],
         ids=["not-a-corpus", "record-not-object", "raw-int", "raw-list", "bad-disposition",
-             "bad-delivery"],
+             "bad-delivery", "origin-scheme-int", "origin-host-list", "origin-port-bool",
+             "iframes-string", "links-string", "links-int-item", "site-int", "url-int",
+             "http-status-string", "srcdoc-string"],
     )
     def test_corrupt_corpus_exits_2(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content)
         assert main(["analyze", "--corpus", str(bad)]) == EXIT_IO
         assert "line" in capsys.readouterr().err
+
+
+class TestNaiveSites:
+    """analyze --naive-sites reads sites as the last two host labels in the
+    relaxable test of couples only; peer tables use the recorded site."""
+
+    @pytest.fixture
+    def corpus_path(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(
+            [
+                make_page("http://a.co.uk/", "default-src 'self'", iframes=["http://b.co.uk/"]),
+                make_page("http://b.co.uk/"),
+            ],
+            path,
+        )
+        return str(path)
+
+    @staticmethod
+    def _json(capsys, *argv) -> dict:
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)
+
+    def test_violations_couple_becomes_relaxable(self, capsys, corpus_path):
+        argv = ["analyze", "--corpus", corpus_path, "--table", "violations"]
+        psl = self._json(capsys, *argv)
+        naive = self._json(capsys, *argv, "--naive-sites")
+        assert sum(sum(row.values()) for row in psl["cells"].values()) == 0
+        assert psl["couples_excluded_unrelated"] == 1
+        assert sum(sum(row.values()) for row in naive["cells"].values()) == 1
+        assert naive["cells"]["only-parent-csp"]["relaxable"] == 1
+        assert naive["couples_excluded_unrelated"] == 0
+
+    def test_potential_unchanged(self, capsys, corpus_path):
+        argv = ["analyze", "--corpus", corpus_path, "--table", "potential"]
+        assert self._json(capsys, *argv) == self._json(capsys, *argv, "--naive-sites")
+
+    def test_potential_shortcut_rejects_flag(self, capsys, corpus_path):
+        assert main(["potential", "--corpus", corpus_path, "--naive-sites"]) == EXIT_USAGE
 
 
 class TestRecommend:

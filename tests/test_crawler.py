@@ -1,3 +1,6 @@
+import time
+
+from cspsop import crawler
 from cspsop.crawler import (
     DEPTH_HOME,
     DEPTH_IFRAME_HOME,
@@ -8,20 +11,23 @@ from cspsop.crawler import (
     STATUS_OK,
     STATUS_TIMEOUT,
     CrawlConfig,
+    FetchResult,
+    PageRecord,
+    build_record,
     crawl_site,
-    extract_iframes,
-    extract_links,
     fetch,
 )
-from cspsop.origins import SiteKey
-
-MAIN_SITE = SiteKey("main.com")
 
 
 def quick_config(**overrides) -> CrawlConfig:
     defaults = dict(politeness_delay=0.0, respect_robots=False, timeout=5.0)
     defaults.update(overrides)
     return CrawlConfig(**defaults)
+
+
+def served(body: str, url: str) -> PageRecord:
+    """The record of a main.com page at url that served body."""
+    return build_record(FetchResult(url, url, STATUS_OK, 200, [], body.encode()), DEPTH_HOME)
 
 
 class TestExtractLinks:
@@ -31,49 +37,48 @@ class TestExtractLinks:
         <a href="http://sub.main.com/b">in</a>
         <a href="http://other.com/c">out</a>
         """
-        assert extract_links(body, "http://main.com/", MAIN_SITE) == [
+        assert served(body, "http://main.com/").links_same_site == [
             "http://main.com/a",
             "http://sub.main.com/b",
         ]
 
     def test_no_anchors(self):
-        assert extract_links("<p>nothing here</p>", "http://main.com/", MAIN_SITE) == []
+        assert served("<p>nothing here</p>", "http://main.com/").links_same_site == []
 
     def test_relative_resolution(self):
         # URL-resolution oracle: urljoin("http://main.com/d/e", "../x") == "http://main.com/x"
         body = '<a href="../x">up</a>'
-        assert extract_links(body, "http://main.com/d/e", MAIN_SITE) == ["http://main.com/x"]
+        assert served(body, "http://main.com/d/e").links_same_site == ["http://main.com/x"]
 
     def test_fragment_stripped_and_deduplicated(self):
         body = '<a href="/p#top">1</a><a href="/p#bottom">2</a><a href="/p">3</a>'
-        assert extract_links(body, "http://main.com/", MAIN_SITE) == ["http://main.com/p"]
+        assert served(body, "http://main.com/").links_same_site == ["http://main.com/p"]
 
     def test_non_http_schemes_ignored(self):
         body = '<a href="mailto:x@main.com">m</a><a href="javascript:void(0)">j</a>'
-        assert extract_links(body, "http://main.com/", MAIN_SITE) == []
+        assert served(body, "http://main.com/").links_same_site == []
 
     def test_broken_markup_tolerated(self):
         body = '<a href="/ok"><div><<<<a href="http://main.com/also>unclosed'
-        assert "http://main.com/ok" in extract_links(body, "http://main.com/", MAIN_SITE)
+        assert "http://main.com/ok" in served(body, "http://main.com/").links_same_site
 
 
 class TestExtractIframes:
     def test_relative_src(self):
         body = '<iframe src="B.html"></iframe>'
-        refs = extract_iframes(body, "http://main.com/A.html", MAIN_SITE)
-        assert refs.urls == ["http://main.com/B.html"]
-        assert refs.srcdoc_count == 0
+        record = served(body, "http://main.com/A.html")
+        assert record.iframes_same_site == ["http://main.com/B.html"]
+        assert record.srcdoc_iframes == 0
 
     def test_cross_site_excluded(self):
         body = '<iframe src="http://other.com/x.html"></iframe>'
-        refs = extract_iframes(body, "http://main.com/A.html", MAIN_SITE)
-        assert refs.urls == []
+        assert served(body, "http://main.com/A.html").iframes_same_site == []
 
     def test_srcdoc_counted_not_listed(self):
         body = '<iframe srcdoc="&lt;p&gt;inline&lt;/p&gt;"></iframe>'
-        refs = extract_iframes(body, "http://main.com/A.html", MAIN_SITE)
-        assert refs.urls == []
-        assert refs.srcdoc_count == 1
+        record = served(body, "http://main.com/A.html")
+        assert record.iframes_same_site == []
+        assert record.srcdoc_iframes == 1
 
 
 class TestFetch:
@@ -284,10 +289,16 @@ class TestCrawlSite:
             (r.url, r.depth, r.fetch_status) for r in second
         ]
 
-    def test_parallel_fetches_same_record_set(self, fixture_site):
+    def test_politeness_spacing(self, fixture_site, monkeypatch):
         config = _build_main_site(fixture_site)
-        serial = crawl_site("http://main.com/", config)
-        config.parallel_per_site = 4
-        parallel = crawl_site("http://main.com/", config)
-        # batch results are placed in planned order, so even the ordering holds
-        assert [(r.url, r.depth) for r in parallel] == [(r.url, r.depth) for r in serial]
+        config.politeness_delay = 0.05
+        starts = []
+
+        def timed_fetch(url, config):
+            starts.append(time.monotonic())
+            return fetch(url, config)
+
+        monkeypatch.setattr(crawler, "fetch", timed_fetch)
+        records = crawl_site("http://main.com/", config)
+        assert len(starts) == len(records) == 5
+        assert all(later - earlier >= 0.05 for earlier, later in zip(starts, starts[1:]))

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +7,6 @@ from cspsop.normalize import (
     FALLBACK_DIRECTIVES,
     PERMISSIVE_FETCH,
     PERMISSIVE_SCRIPT,
-    ReportOnlyPolicyError,
     normalize,
 )
 from cspsop.origins import Origin
@@ -92,11 +90,8 @@ class TestNormalizeRules:
         result = norm("default-src 'self'")
         assert "frame-ancestors" not in result.directives
 
-    def test_report_only_rejected_when_enforce_required(self):
+    def test_report_only_normalizes_like_enforced(self):
         policy = parse_policy("default-src 'self'", REPORT_ONLY)
-        with pytest.raises(ReportOnlyPolicyError):
-            normalize(policy, MAIN, enforce_only=True)
-        # without the flag it normalizes like any other policy
         assert normalize(policy, MAIN).directives["script-src"] == frozenset({"http://main.com"})
 
 

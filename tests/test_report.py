@@ -147,29 +147,6 @@ class TestViolationTable:
         assert table.violations_total[RELATION_RELAXABLE].count == 1
         assert table.violations_total[RELATION_RELAXABLE].denominator == 1
 
-    def test_sibling_pairs_opt_in(self):
-        corpus = [
-            make_page(
-                "http://v.com/parent",
-                iframes=["http://v.com/left", "http://v.com/right"],
-            ),
-            make_page("http://v.com/left", "script-src 'self'"),
-            make_page("http://v.com/right"),
-        ]
-        default = build_pairs(corpus)
-        assert len(default) == 2  # parent-left, parent-right
-        with_siblings = build_pairs(corpus, include_siblings=True)
-        assert len(with_siblings) == 3
-        sibling = with_siblings[-1]
-        assert {sibling.parent.url, sibling.iframe.url} == {
-            "http://v.com/left",
-            "http://v.com/right",
-        }
-        assert sibling.classification.category == CATEGORY_ONLY_PARENT
-        table = violation_table(corpus, include_siblings=True)
-        assert table.cells[CATEGORY_ONLY_PARENT][RELATION_SAME_ORIGIN] == 1
-        assert table.cells[CATEGORY_ONLY_IFRAME][RELATION_SAME_ORIGIN] == 1
-
     def test_matches_bruteforce(self):
         corpus = make_corpus(seed=11, sites=3, pages_per_site=25)
         table = violation_table(corpus)
