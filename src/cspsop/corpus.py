@@ -69,18 +69,25 @@ def _policy_from_dict(data: dict, parsed: dict[tuple[str, str, str], Policy]) ->
     return policy
 
 
-def _typed(value, name: str, *types: type):
-    """value itself, if it is one of types; a bool is never taken for an int."""
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-        raise CorpusFormatError(f"{name} is {type(value).__name__}, not {expected}")
-    return value
-
-
-def _str_list(value, name: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise CorpusFormatError(f"{name} is not a list of strings")
-    return list(value)
+def _well_typed(data: dict) -> bool:
+    """Whether a record's fields have their JSON types: url, final_url,
+    depth and fetch_status strings; site a string or null; http_status an
+    integer or null; srcdoc_iframes an integer; origin null or an object
+    with string scheme and host and integer port; links and iframes lists
+    of strings. Types are compared exactly, so true is not an integer."""
+    origin = data.get("origin")
+    links, iframes = data.get("links_same_site", []), data.get("iframes_same_site", [])
+    return (
+        type(data["url"]) is str and type(data["final_url"]) is str
+        and type(data["depth"]) is str and type(data["fetch_status"]) is str
+        and type(data.get("site")) in (str, type(None))
+        and type(data.get("http_status")) in (int, type(None))
+        and type(data.get("srcdoc_iframes", 0)) is int
+        and (origin is None or (type(origin) is dict and type(origin["scheme"]) is str
+                                and type(origin["host"]) is str and type(origin["port"]) is int))
+        and type(links) is list and type(iframes) is list
+        and set(map(type, links + iframes)) <= {str}
+    )
 
 
 def record_from_dict(
@@ -97,25 +104,21 @@ def record_from_dict(
         raise CorpusFormatError(f"record is {type(data).__name__}, not an object")
     if parsed is None:
         parsed = {}
-    origin = _typed(data.get("origin"), "origin", dict, type(None))
-    if origin is not None:
-        origin = Origin(
-            _typed(origin["scheme"], "origin scheme", str),
-            _typed(origin["host"], "origin host", str),
-            _typed(origin["port"], "origin port", int),
-        )
+    if not _well_typed(data):
+        raise CorpusFormatError("a record field has the wrong JSON type")
+    origin = data.get("origin")
     return PageRecord(
-        url=_typed(data["url"], "url", str),
-        final_url=_typed(data["final_url"], "final_url", str),
-        depth=_typed(data["depth"], "depth", str),
-        fetch_status=_typed(data["fetch_status"], "fetch_status", str),
-        http_status=_typed(data.get("http_status"), "http_status", int, type(None)),
-        origin=origin,
-        site=_typed(data.get("site"), "site", str, type(None)),
+        url=data["url"],
+        final_url=data["final_url"],
+        depth=data["depth"],
+        fetch_status=data["fetch_status"],
+        http_status=data.get("http_status"),
+        origin=None if origin is None else Origin(origin["scheme"], origin["host"], origin["port"]),
+        site=data.get("site"),
         policies=[_policy_from_dict(p, parsed) for p in data.get("policies", [])],
-        links_same_site=_str_list(data.get("links_same_site", []), "links_same_site"),
-        iframes_same_site=_str_list(data.get("iframes_same_site", []), "iframes_same_site"),
-        srcdoc_iframes=_typed(data.get("srcdoc_iframes", 0), "srcdoc_iframes", int),
+        links_same_site=list(data.get("links_same_site", [])),
+        iframes_same_site=list(data.get("iframes_same_site", [])),
+        srcdoc_iframes=data.get("srcdoc_iframes", 0),
     )
 
 

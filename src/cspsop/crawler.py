@@ -276,9 +276,7 @@ def _load_robots(origin: Origin, config: CrawlConfig) -> robotparser.RobotFilePa
     return parser
 
 
-def crawl_site(
-    seed: str, config: CrawlConfig | None = None, psl: SuffixTable | None = None
-) -> list[PageRecord]:
+def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]:
     """Crawl one site: seed page, its same-site links, iframes of both.
 
     Every visited URL yields exactly one record (failures included) and no
@@ -287,8 +285,7 @@ def crawl_site(
     a time, their starts at least config.politeness_delay apart.
     """
     config = config or CrawlConfig()
-    if config.naive_sites:
-        psl = NAIVE_SUFFIXES
+    psl = NAIVE_SUFFIXES if config.naive_sites else None
     seed, _ = urldefrag(seed)
     seed_origin = origin_of(seed)
     seed_site = _site_or_host(seed_origin.host, psl)
@@ -354,11 +351,9 @@ def crawl_site(
     return records
 
 
-def crawl_sites(
-    seeds: list[str], config: CrawlConfig | None = None, psl: SuffixTable | None = None
-) -> list[PageRecord]:
+def crawl_sites(seeds: list[str], config: CrawlConfig | None = None) -> list[PageRecord]:
     """Crawl many seeds, sites in parallel, each site politely serialized."""
     config = config or CrawlConfig()
     with ThreadPoolExecutor(max_workers=config.parallel_sites) as pool:
-        sites = pool.map(lambda seed: crawl_site(seed, config, psl), seeds)
+        sites = pool.map(lambda seed: crawl_site(seed, config), seeds)
         return [record for site_records in sites for record in site_records]
