@@ -12,18 +12,18 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 STRICT_CSP = "default-src 'none'; script-src 'self'; child-src 'self'"
 
 
-def _record_with_policy(**policy) -> dict:
-    record = record_to_dict(make_violation_corpus()[0])
-    record["policies"] = [{"raw": STRICT_CSP, "disposition": "enforce", "delivery": "http-header", **policy}]
-    return record
-
-
 def _record_with(**fields) -> dict:
     return {**record_to_dict(make_violation_corpus()[0]), **fields}
 
 
+def _record_with_policy(**policy) -> dict:
+    return _record_with(
+        policies=[{"raw": STRICT_CSP, "disposition": "enforce", "delivery": "http-header", **policy}]
+    )
+
+
 def _origin_with(**fields) -> dict:
-    record = record_to_dict(make_violation_corpus()[0])
+    record = _record_with()
     return {**record, "origin": {**record["origin"], **fields}}
 
 
