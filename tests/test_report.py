@@ -258,11 +258,40 @@ class TestRender:
 
     @pytest.mark.parametrize("fmt,suffix", [(FORMAT_TEXT, "txt"), (FORMAT_JSON, "json")])
     def test_potential_golden(self, fmt, suffix):
-        # Shuffled so that origins interleave: verdicts must stay in corpus order.
-        corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
-        random.Random(1).shuffle(corpus)
         golden = (GOLDEN_DIR / f"potential.{suffix}").read_bytes()
-        assert render(potential_violations(corpus), fmt) == golden
+        assert render(potential_violations(_shuffled_corpus()), fmt) == golden
+
+    @pytest.mark.parametrize(
+        "table,fmt,suffix",
+        [
+            ("directive-diff", FORMAT_TEXT, "txt"),
+            ("directive-diff", FORMAT_JSON, "json"),
+            ("csp-per-site", FORMAT_TEXT, "txt"),
+            ("violations", FORMAT_JSON, "json"),
+        ],
+    )
+    def test_shuffled_corpus_golden(self, table, fmt, suffix):
+        # violations.json is this corpus's table; violations.txt above is
+        # make_violation_corpus's.
+        golden = (GOLDEN_DIR / f"{table}.{suffix}").read_bytes()
+        assert render(_SHUFFLED_TABLES[table](_shuffled_corpus()), fmt) == golden
+
+
+def _shuffled_corpus():
+    """29 different-csp couples over 10 directives. Shuffled so that
+    origins interleave: verdicts must stay in corpus order."""
+    corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
+    random.Random(1).shuffle(corpus)
+    return corpus
+
+
+_SHUFFLED_TABLES = {
+    "directive-diff": lambda corpus: directive_diff_histogram(
+        [p.classification for p in build_pairs(corpus)]
+    ),
+    "csp-per-site": csp_per_site_distribution,
+    "violations": violation_table,
+}
 
 
 def test_full_recount_on_mid_corpus():
