@@ -3,12 +3,15 @@
 Each normalized policy has a hashable canonical key (NormalizedPolicy.key)
 that is equal exactly when compare() finds no differing directive. A page
 can deliver several policies, and its policies compare as a multiset of
-keys, so set equality and unmatched leftovers are Counter arithmetic.
+keys: its set key is their sorted tuple. Set equality is equality of set
+keys, and the evidence of a difference is worked out from the two set
+keys alone, by Counter arithmetic on their leftovers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .normalize import NormalizedPolicy
@@ -51,12 +54,14 @@ def compare(a: NormalizedPolicy, b: NormalizedPolicy) -> ComparisonResult:
     )
 
 
-def policy_set_key(policies: list[NormalizedPolicy]) -> tuple:
-    """Hashable form of a policy multiset, () for no policy.
+def policy_set_key(keys: Iterable[tuple]) -> tuple:
+    """Hashable form of a policy multiset: the sorted NormalizedPolicy.key
+    values of its policies, () for no policy.
 
-    Two lists get equal keys exactly when policy_sets_equal holds for them.
+    Two policy lists get equal set keys exactly when policy_sets_equal
+    holds for them.
     """
-    return tuple(sorted(p.key for p in policies))
+    return tuple(sorted(keys))
 
 
 def policy_sets_equal(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> bool:
@@ -68,27 +73,9 @@ def policy_sets_equal(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> b
     return Counter(p.key for p in a) == Counter(p.key for p in b)
 
 
-def _surplus(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> list[NormalizedPolicy]:
-    by_key = {p.key: p for p in a}
-    surplus = Counter(p.key for p in a) - Counter(p.key for p in b)
-    return [by_key[key] for key in surplus.elements()]
-
-
-def unmatched_policies(
-    a: list[NormalizedPolicy], b: list[NormalizedPolicy]
-) -> tuple[list[NormalizedPolicy], list[NormalizedPolicy]]:
-    """Policies on each side without a compare-equal partner on the other.
-
-    Used to explain why two policy sets differ: every cross pairing of the
-    two leftover lists is guaranteed unequal.
-    """
-    return _surplus(a, b), _surplus(b, a)
-
-
-def difference_evidence(
-    a: list[NormalizedPolicy], b: list[NormalizedPolicy]
-) -> frozenset[str]:
-    """Directives that explain why two policy lists are not multiset-equal.
+def difference_evidence(a: tuple, b: tuple) -> frozenset[str]:
+    """Directives that explain why two policy sets, given by their set
+    keys, are not multiset-equal.
 
     This is the union of compare()'s differing directives over every
     pairing of a's unmatched policies with b's. A directive is in it
@@ -97,11 +84,12 @@ def difference_evidence(
     difference is pure multiplicity: the surplus deliveries themselves are
     the discrepancy, so everything they restrict is named.
     """
-    left, right = unmatched_policies(a, b)
-    names = {name for policy in left + right for name in policy.directives}
+    left, right = Counter(a) - Counter(b), Counter(b) - Counter(a)
+    leftovers = [dict(key) for key in (*left, *right)]
+    names = {name for directives in leftovers for name in directives}
     if not left or not right:
         return frozenset(names)
     return frozenset(
         name for name in names
-        if len({policy.directives.get(name) for policy in left + right}) > 1
+        if len({directives.get(name) for directives in leftovers}) > 1
     )

@@ -8,12 +8,12 @@ the stricter side's policy can be subverted from the weaker one.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 
-from .compare import difference_evidence, policy_set_key, policy_sets_equal
+from .compare import difference_evidence, policy_set_key
 from .crawler import STATUS_OK, PageRecord
-from .normalize import NormalizedPolicy, normalize
+from .normalize import normalize
 from .origins import Origin, SuffixTable, relaxable_to, same_origin
 
 RELATION_SAME_ORIGIN = "same-origin"
@@ -89,13 +89,13 @@ _MITIGATIONS = {
 }
 
 
-# Normalized forms of recent (policy text, disposition, page origin)
-# inputs. Corpora are site-ordered, so a small memo catches the repeats.
-# It is cleared when full rather than grown: retaining thousands of
-# NormalizedPolicy objects on corpora that rarely repeat makes the cyclic
-# garbage collector cost more than the normalizations saved.
+# Canonical keys (NormalizedPolicy.key) of recent (policy text,
+# disposition, page origin) inputs. Corpora are site-ordered, so a small
+# memo catches the repeats. It is cleared when full rather than grown:
+# retaining thousands of keys on corpora that rarely repeat makes the
+# cyclic garbage collector cost more than the normalizations saved.
 NORMALIZE_MEMO_SIZE = 64
-_normalized: dict[tuple[str, str, Origin], NormalizedPolicy] = {}
+_policy_keys: dict[tuple[str, str, Origin], tuple] = {}
 
 
 def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
@@ -104,27 +104,25 @@ def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
     return [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
 
 
-def normalized_enforced(record: PageRecord) -> list[NormalizedPolicy]:
-    """Enforced policies of a record, normalized against its origin.
+def _enforced_key(record: PageRecord) -> tuple:
+    """Policy-set key of a record's enforced policies, each normalized
+    against the record's origin; () when it has none.
 
     Report-only policies are excluded: they record violations but restrict
-    nothing, so they cannot be violated. A policy's raw text determines it
-    (see Policy), so equal texts at one origin may share one
-    NormalizedPolicy, whose provenance is then the Policy of the record
-    normalized first.
+    nothing, so they cannot be violated.
     """
     if record.origin is None:
-        return []
-    out = []
+        return ()
+    keys = []
     for policy in record.enforced_policies():
-        key = (policy.raw, policy.disposition, record.origin)
-        normalized = _normalized.get(key)
-        if normalized is None:
-            if len(_normalized) >= NORMALIZE_MEMO_SIZE:
-                _normalized.clear()
-            normalized = _normalized[key] = normalize(policy, record.origin)
-        out.append(normalized)
-    return out
+        memo_key = (policy.raw, policy.disposition, record.origin)
+        key = _policy_keys.get(memo_key)
+        if key is None:
+            if len(_policy_keys) >= NORMALIZE_MEMO_SIZE:
+                _policy_keys.clear()
+            key = _policy_keys[memo_key] = normalize(policy, record.origin).key
+        keys.append(key)
+    return policy_set_key(keys)
 
 
 def _relation(parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None) -> str:
@@ -142,18 +140,17 @@ def classify_pair(
 ) -> PairClassification:
     """Origin relation and CSP-violation category for one couple."""
     relation = _relation(parent, iframe, psl)
-    parent_policies = normalized_enforced(parent)
-    iframe_policies = normalized_enforced(iframe)
-    if parent_policies and not iframe_policies:
-        return PairClassification(relation, CATEGORY_ONLY_PARENT)
-    if iframe_policies and not parent_policies:
-        return PairClassification(relation, CATEGORY_ONLY_IFRAME)
-    if not parent_policies and not iframe_policies:
+    parent_key, iframe_key = _enforced_key(parent), _enforced_key(iframe)
+    if not parent_key and not iframe_key:
         return PairClassification(relation, CATEGORY_NO_CSP)
-    if policy_sets_equal(parent_policies, iframe_policies):
+    if not iframe_key:
+        return PairClassification(relation, CATEGORY_ONLY_PARENT)
+    if not parent_key:
+        return PairClassification(relation, CATEGORY_ONLY_IFRAME)
+    if parent_key == iframe_key:
         return PairClassification(relation, CATEGORY_NO_VIOLATION)
     return PairClassification(
-        relation, CATEGORY_DIFFERENT, difference_evidence(parent_policies, iframe_policies)
+        relation, CATEGORY_DIFFERENT, difference_evidence(parent_key, iframe_key)
     )
 
 
@@ -261,13 +258,12 @@ def peer_groups(corpus: list[PageRecord]) -> tuple[list, dict]:
     Returns (pages, counts). pages lists (record, relaxed group, policy-set
     key) in corpus order; a page without an enforced CSP has the key ().
     counts maps each relaxed group (site, scheme, port) to its origins, and
-    each origin to a Counter of its pages' keys. The normalized policies
-    are not kept, so memory holds keys only.
+    each origin to a Counter of its pages' keys.
     """
     pages = []
     counts: dict[tuple, dict[Origin, Counter]] = {}
     for record in analyzable_pages(corpus):
-        key = policy_set_key(normalized_enforced(record))
+        key = _enforced_key(record)
         group = (record.site, record.origin.scheme, record.origin.port)
         counts.setdefault(group, {}).setdefault(record.origin, Counter())[key] += 1
         pages.append((record, group, key))
@@ -281,6 +277,18 @@ def _verdict(peers: Counter, key: tuple) -> str:
     if peers[()]:
         return VERDICT_PEER_NO_CSP
     return VERDICT_PEER_DIFF_CSP if peers.total() > peers[key] else VERDICT_NONE
+
+
+def _granularity_counts(flagged: defaultdict, granularity: str) -> GranularityCounts:
+    """Distinct pages, origins and sites among the (url, origin, site)
+    triples flagged at one granularity, per verdict."""
+    counts = []
+    for verdict in (VERDICT_PEER_NO_CSP, VERDICT_PEER_DIFF_CSP):
+        triples = flagged[granularity, verdict]
+        counts += [
+            len(triples), len({o for _, o, _ in triples}), len({s for _, _, s in triples if s}),
+        ]
+    return GranularityCounts(*counts)
 
 
 def potential_violations(corpus: list[PageRecord]) -> PotentialViolationReport:
@@ -299,19 +307,8 @@ def potential_violations(corpus: list[PageRecord]) -> PotentialViolationReport:
         for origin, keys in origins.items():
             rx_peers[group, origin] = total - keys
 
-    csp_pages = [record for record, _, key in pages if key]
-    report = PotentialViolationReport(
-        pages_with_csp=len(csp_pages),
-        origins_with_csp=len({r.origin for r in csp_pages}),
-        sites_with_csp=len({r.site for r in csp_pages if r.site}),
-        same_origin=GranularityCounts(),
-        relaxed=GranularityCounts(),
-        flagged_pages_total=0,
-    )
-
-    flagged: dict[str, set] = {
-        "so_no": set(), "so_diff": set(), "rx_no": set(), "rx_diff": set(),
-    }
+    verdicts = []
+    flagged: defaultdict[tuple[str, str], set] = defaultdict(set)
     for record, group, key in pages:
         if not key:
             continue
@@ -319,29 +316,20 @@ def potential_violations(corpus: list[PageRecord]) -> PotentialViolationReport:
         rx_verdict = VERDICT_NONE
         if record.site is not None:
             rx_verdict = _verdict(rx_peers[group, record.origin], key)
-        if so_verdict != VERDICT_NONE or rx_verdict != VERDICT_NONE:
-            report.verdicts.append(
-                PageVerdicts(url=record.url, same_origin=so_verdict, relaxed=rx_verdict)
-            )
-        if so_verdict == VERDICT_PEER_NO_CSP:
-            flagged["so_no"].add((record.url, record.origin, record.site))
-        elif so_verdict == VERDICT_PEER_DIFF_CSP:
-            flagged["so_diff"].add((record.url, record.origin, record.site))
-        if rx_verdict == VERDICT_PEER_NO_CSP:
-            flagged["rx_no"].add((record.url, record.origin, record.site))
-        elif rx_verdict == VERDICT_PEER_DIFF_CSP:
-            flagged["rx_diff"].add((record.url, record.origin, record.site))
+        if so_verdict == rx_verdict == VERDICT_NONE:
+            continue
+        verdicts.append(PageVerdicts(record.url, so_verdict, rx_verdict))
+        for granularity, verdict in (("same-origin", so_verdict), ("relaxed", rx_verdict)):
+            flagged[granularity, verdict].add((record.url, record.origin, record.site))
 
-    def fill(counts: GranularityCounts, no_key: str, diff_key: str) -> None:
-        counts.pages_peer_no_csp = len(flagged[no_key])
-        counts.origins_peer_no_csp = len({o for _, o, _ in flagged[no_key]})
-        counts.sites_peer_no_csp = len({s for _, _, s in flagged[no_key] if s})
-        counts.pages_peer_diff_csp = len(flagged[diff_key])
-        counts.origins_peer_diff_csp = len({o for _, o, _ in flagged[diff_key]})
-        counts.sites_peer_diff_csp = len({s for _, _, s in flagged[diff_key] if s})
+    csp_pages = [record for record, _, key in pages if key]
+    return PotentialViolationReport(
+        pages_with_csp=len(csp_pages),
+        origins_with_csp=len({r.origin for r in csp_pages}),
+        sites_with_csp=len({r.site for r in csp_pages if r.site}),
+        same_origin=_granularity_counts(flagged, "same-origin"),
+        relaxed=_granularity_counts(flagged, "relaxed"),
+        flagged_pages_total=len({page.url for page in verdicts}),
+        verdicts=verdicts,
+    )
 
-    fill(report.same_origin, "so_no", "so_diff")
-    fill(report.relaxed, "rx_no", "rx_diff")
-    flagged_urls = {u for bucket in flagged.values() for u, _, _ in bucket}
-    report.flagged_pages_total = len(flagged_urls)
-    return report

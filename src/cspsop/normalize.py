@@ -10,7 +10,7 @@ of canonical source strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .origins import DEFAULT_PORTS, Origin
@@ -45,7 +45,6 @@ class NormalizedPolicy:
 
     directives: dict[str, frozenset[str]]
     page_origin: Origin
-    provenance: Policy | None = field(compare=False, default=None)
 
     @cached_property
     def key(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -139,4 +138,4 @@ def normalize(policy: Policy, page_origin: Origin) -> NormalizedPolicy:
         else:
             out[name] = PERMISSIVE_FETCH
 
-    return NormalizedPolicy(directives=out, page_origin=page_origin, provenance=policy)
+    return NormalizedPolicy(directives=out, page_origin=page_origin)

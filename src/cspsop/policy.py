@@ -110,7 +110,6 @@ class Directive:
     name: str
     sources: tuple[SourceExpression, ...]
     opaque_values: tuple[str, ...] = ()
-    raw_value: str = field(compare=False, default="")
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,6 @@ class Policy:
     delivery: str = HTTP_HEADER
     raw: str = field(compare=False, default="")
     warnings: tuple[ParseWarning, ...] = field(compare=False, default=())
-
-    def has_directive(self, name: str) -> bool:
-        return name.lower() in self.directives
 
     def serialize(self) -> str:
         """Canonical policy string; reparses to an equal Policy."""
@@ -205,9 +201,7 @@ def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEAD
         if name not in KNOWN_DIRECTIVES:
             warnings.append(ParseWarning("unknown-directive", name))
         if name in VALUE_LIST_DIRECTIVES:
-            directives[name] = Directive(
-                name, (), opaque_values=tuple(value_tokens), raw_value=" ".join(value_tokens)
-            )
+            directives[name] = Directive(name, (), opaque_values=tuple(value_tokens))
             continue
         sources: list[SourceExpression] = []
         for token in value_tokens:
@@ -221,7 +215,7 @@ def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEAD
             if len(keep) != len(sources):
                 warnings.append(ParseWarning("misplaced-none", name))
                 sources = keep
-        directives[name] = Directive(name, tuple(sources), raw_value=" ".join(value_tokens))
+        directives[name] = Directive(name, tuple(sources))
     return Policy(
         directives=directives,
         disposition=disposition,

@@ -29,7 +29,6 @@ from .detector import (
     Ratio,
     analyzable_pages,
     classify_pair,
-    normalized_enforced,
     peer_groups,
 )
 from .origins import SuffixTable, UnsupportedUrlError, origin_of
@@ -314,8 +313,7 @@ def page_set_diffs(
     unequal, in no particular order. Feeds the directive-difference
     histogram for page-level potential violations.
     """
-    pages, counts = peer_groups(corpus)
-    holders = {key: record for record, _, key in pages}  # normalized again for evidence only
+    _, counts = peer_groups(corpus)
     out = []
     for (site, _, _), origins in counts.items():
         if not site:
@@ -328,9 +326,7 @@ def page_set_diffs(
             same_origin = sum(by_key[a] * by_key[b] for by_key in origins.values())
             couples = same_origin if relation == RELATION_SAME_ORIGIN else keys[a] * keys[b] - same_origin
             if couples:
-                evidence = difference_evidence(
-                    normalized_enforced(holders[a]), normalized_enforced(holders[b])
-                )
+                evidence = difference_evidence(a, b)
                 out += [PairClassification(relation, CATEGORY_DIFFERENT, evidence)] * couples
     return out
 
