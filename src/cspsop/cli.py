@@ -104,29 +104,29 @@ def _parse_resolve(entries: list[str]) -> dict[str, str]:
 
 
 def _config_from_args(args) -> CrawlConfig:
-    config = CrawlConfig(
-        user_agent=getattr(args, "user_agent", None)
-        or os.environ.get(USER_AGENT_ENV)
-        or CrawlConfig().user_agent,
-        resolve_overrides=_parse_resolve(getattr(args, "resolve", None)),
-    )
-    if getattr(args, "timeout", None):
-        config.timeout = args.timeout
-    if getattr(args, "max_pages", None):
-        config.max_pages_per_site = args.max_pages
-    if getattr(args, "max_links", None):
-        config.max_links_per_page = args.max_links
-    if getattr(args, "max_iframes", None):
-        config.max_iframes_per_page = args.max_iframes
-    if getattr(args, "parallel", None):
-        config.parallel_sites = args.parallel
-    if getattr(args, "politeness", None) is not None:
-        config.politeness_delay = args.politeness
-    if getattr(args, "respect_robots", None) is not None:
-        config.respect_robots = args.respect_robots in ("true", "1", "yes")
-    if getattr(args, "naive_sites", False):
-        config.naive_sites = True
-    return config
+    """Crawl settings from the flags given, defaults for the rest.
+
+    CrawlConfig validates them; an out-of-range value is a usage error.
+    """
+    respect_robots = getattr(args, "respect_robots", None)
+    given = {
+        "user_agent": getattr(args, "user_agent", None) or os.environ.get(USER_AGENT_ENV) or None,
+        "timeout": getattr(args, "timeout", None),
+        "max_pages_per_site": getattr(args, "max_pages", None),
+        "max_links_per_page": getattr(args, "max_links", None),
+        "max_iframes_per_page": getattr(args, "max_iframes", None),
+        "parallel_sites": getattr(args, "parallel", None),
+        "politeness_delay": getattr(args, "politeness", None),
+        "respect_robots": None if respect_robots is None else respect_robots == "true",
+        "naive_sites": getattr(args, "naive_sites", False),
+    }
+    try:
+        return CrawlConfig(
+            resolve_overrides=_parse_resolve(getattr(args, "resolve", None)),
+            **{name: value for name, value in given.items() if value is not None},
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def build_parser() -> _Parser:

@@ -106,9 +106,6 @@ class PageRecord:
     def enforced_policies(self) -> list[Policy]:
         return [p for p in self.policies if p.disposition == ENFORCE]
 
-    def has_enforced_csp(self) -> bool:
-        return bool(self.enforced_policies())
-
     def has_any_csp(self) -> bool:
         return bool(self.policies)
 
@@ -282,12 +279,20 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
     Every visited URL yields exactly one record (failures included) and no
     URL is fetched twice. Pages that redirect off-site become leaf records:
     their outgoing references are never followed. Requests are made one at
-    a time, their starts at least config.politeness_delay apart.
+    a time, their starts at least config.politeness_delay apart. A seed
+    without an http(s) origin gives one network-error record with no
+    origin or site.
     """
     config = config or CrawlConfig()
     psl = NAIVE_SUFFIXES if config.naive_sites else None
     seed, _ = urldefrag(seed)
-    seed_origin = origin_of(seed)
+    try:
+        seed_origin = origin_of(seed)
+    except UnsupportedUrlError:
+        # Nothing to crawl, but the seed still gets its one failed record.
+        return [
+            PageRecord(url=seed, final_url=seed, depth=DEPTH_HOME, fetch_status=STATUS_NETWORK_ERROR)
+        ]
     seed_site = _site_or_host(seed_origin.host, psl)
 
     robots = _load_robots(seed_origin, config) if config.respect_robots else None

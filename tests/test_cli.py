@@ -3,7 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from cspsop.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from cspsop.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    _config_from_args,
+    build_parser,
+    main,
+)
 from cspsop.corpus import read_corpus, record_to_dict, write_corpus
 from helpers import make_page, make_violation_corpus
 
@@ -171,6 +179,49 @@ class TestCrawlAndAnalyze:
         assert code == EXIT_OK
         records = read_corpus(out)
         assert {r.url for r in records} == {"http://main.com/", "http://main.com/a.html"}
+
+    def test_unsupported_seed_keeps_other_sites(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/", "<p>home</p>", host="main.com")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("ftp://x.com/\nhttp://main.com/\n")
+        out = tmp_path / "corpus.jsonl"
+        code = main(
+            [
+                "crawl", "--seeds", str(seeds), "--out", str(out),
+                "--politeness", "0", "--respect-robots", "false",
+                "--resolve", f"main.com=127.0.0.1:{fixture_site.port}",
+            ]
+        )
+        assert code == EXIT_OK
+        records = {r.url: r for r in read_corpus(out)}
+        assert set(records) == {"ftp://x.com/", "http://main.com/"}
+        failed = records["ftp://x.com/"]
+        assert (failed.fetch_status, failed.origin, failed.site) == ("network-error", None, None)
+        assert records["http://main.com/"].fetch_status == "ok"
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--max-pages", "0"),
+            ("--max-pages", "-3"),
+            ("--timeout", "0"),
+            ("--parallel", "0"),
+            ("--parallel", "-1"),
+        ],
+    )
+    def test_out_of_range_limit_exits_1(self, capsys, tmp_path, flag, value):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("http://127.0.0.1:9/\n")
+        out = tmp_path / "corpus.jsonl"
+        code = main(["crawl", "--seeds", str(seeds), "--out", str(out), flag, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_politeness_is_kept(self):
+        args = build_parser().parse_args(["crawl", "--seeds", "s", "--out", "o", "--politeness", "0"])
+        assert _config_from_args(args).politeness_delay == 0
 
     def test_analyze_adoption_json(self, capsys, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"
