@@ -69,7 +69,7 @@ class CrawlConfig:
                      "parallel_sites"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be > 0")
 
     def config_hash(self) -> str:

@@ -205,6 +205,7 @@ class TestCrawlAndAnalyze:
             ("--max-pages", "0"),
             ("--max-pages", "-3"),
             ("--timeout", "0"),
+            ("--timeout", "nan"),
             ("--parallel", "0"),
             ("--parallel", "-1"),
         ],
