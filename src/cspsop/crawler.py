@@ -71,6 +71,8 @@ class CrawlConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not self.timeout > 0:  # also rejects NaN
             raise ValueError("timeout must be > 0")
+        if not self.politeness_delay >= 0:
+            raise ValueError("politeness_delay must be >= 0")
 
     def config_hash(self) -> str:
         blob = json.dumps(self.__dict__, sort_keys=True, default=str)

@@ -8,7 +8,9 @@ headers in the wild are dirty and an auditor has to keep going.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 ENFORCE = "enforce"
 REPORT_ONLY = "report-only"
@@ -54,8 +56,7 @@ _HOST_SOURCE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SourceExpression:
+class SourceExpression(NamedTuple):
     """One entry of a source list.
 
     kind is one of host-source, scheme-source, keyword, nonce, hash, or
@@ -99,8 +100,7 @@ class ParseWarning:
     detail: str
 
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
     """A named directive and its parsed source list.
 
     sources is empty for value-list directives (sandbox, report-uri); their
@@ -112,22 +112,44 @@ class Directive:
     opaque_values: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
-    """One delivered CSP: directive map plus disposition and channel.
+    """One delivered CSP: its text, disposition and channel.
 
-    Equality is structural over directives/disposition/delivery; the original
-    text and warnings are carried but not compared, so a reparse of the
-    serialized form equals the original. Policies are built by parse_policy,
-    so raw text, disposition and delivery determine the rest: callers may
-    memoize by them and share one Policy between records.
+    directives and warnings are parsed from raw on first access and cached,
+    so a policy that is only stored or counted is never parsed. Equality is
+    structural over directives/disposition/delivery; the original text and
+    warnings are carried but not compared, so a reparse of the serialized
+    form equals the original. raw text, disposition and delivery determine
+    the rest: callers may memoize by them and share one Policy between
+    records, which then parse it once.
     """
 
-    directives: dict[str, Directive]
+    raw: str
     disposition: str = ENFORCE
     delivery: str = HTTP_HEADER
-    raw: str = field(compare=False, default="")
-    warnings: tuple[ParseWarning, ...] = field(compare=False, default=())
+
+    @cached_property
+    def _parsed(self) -> tuple[dict[str, Directive], tuple[ParseWarning, ...]]:
+        return _parse(self.raw)
+
+    @property
+    def directives(self) -> dict[str, Directive]:
+        return self._parsed[0]
+
+    @property
+    def warnings(self) -> tuple[ParseWarning, ...]:
+        return self._parsed[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Policy):
+            return NotImplemented
+        # Equal texts parse alike, so only differing texts need parsing.
+        return (
+            self.disposition == other.disposition
+            and self.delivery == other.delivery
+            and (self.raw == other.raw or self.directives == other.directives)
+        )
 
     def serialize(self) -> str:
         """Canonical policy string; reparses to an equal Policy."""
@@ -179,8 +201,15 @@ def parse_source_expression(token: str) -> SourceExpression | None:
 
 
 def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEADER) -> Policy:
-    """Parse a policy string into a Policy. Total: bad input yields warnings,
-    never an exception.
+    """The Policy delivered as raw text. Total: bad input yields warnings,
+    never an exception. The text is parsed when its directives or warnings
+    are first read.
+    """
+    return Policy(raw, disposition, delivery)
+
+
+def _parse(raw: str) -> tuple[dict[str, Directive], tuple[ParseWarning, ...]]:
+    """Directives and warnings of one policy text.
 
     Duplicate directive names keep the first occurrence (CSP semantics).
     'none' mixed into a longer source list is dropped with a warning,
@@ -201,7 +230,7 @@ def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEAD
         if name not in KNOWN_DIRECTIVES:
             warnings.append(ParseWarning("unknown-directive", name))
         if name in VALUE_LIST_DIRECTIVES:
-            directives[name] = Directive(name, (), opaque_values=tuple(value_tokens))
+            directives[name] = Directive(name, (), tuple(value_tokens))
             continue
         sources: list[SourceExpression] = []
         for token in value_tokens:
@@ -216,13 +245,7 @@ def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEAD
                 warnings.append(ParseWarning("misplaced-none", name))
                 sources = keep
         directives[name] = Directive(name, tuple(sources))
-    return Policy(
-        directives=directives,
-        disposition=disposition,
-        delivery=delivery,
-        raw=raw,
-        warnings=tuple(warnings),
-    )
+    return directives, tuple(warnings)
 
 
 def extract_policies(

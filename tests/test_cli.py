@@ -208,6 +208,8 @@ class TestCrawlAndAnalyze:
             ("--timeout", "nan"),
             ("--parallel", "0"),
             ("--parallel", "-1"),
+            ("--politeness", "-1"),
+            ("--politeness", "nan"),
         ],
     )
     def test_out_of_range_limit_exits_1(self, capsys, tmp_path, flag, value):

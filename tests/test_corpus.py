@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from cspsop.corpus import (
     record_to_dict,
     write_corpus,
 )
+from cspsop import policy as policy_module
 from cspsop.policy import ENFORCE, META_ELEMENT, parse_policy
 from helpers import make_corpus, make_page
 
@@ -166,3 +168,27 @@ class TestPolicySharing:
         assert loaded[0].policies[0] is loaded[2].policies[0]
         assert loaded[1].policies[0] is not loaded[0].policies[0]
         assert loaded[1].policies[0].delivery == META_ELEMENT
+
+    def test_repeated_text_parsed_once_per_read(self, tmp_path, monkeypatch):
+        corpus = make_corpus(seed=3, sites=2, pages_per_site=40)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        real_parse = policy_module._parse
+        parsed = Counter()
+
+        def counting_parse(raw):
+            parsed[raw] += 1
+            return real_parse(raw)
+
+        monkeypatch.setattr(policy_module, "_parse", counting_parse)
+        expected = Counter()
+        for _ in range(2):
+            loaded = read_corpus(path)
+            for record in loaded:
+                for p in record.policies:
+                    assert p.directives == real_parse(p.raw)[0]
+            delivered = [p for r in loaded for p in r.policies]
+            distinct = {(p.raw, p.disposition, p.delivery) for p in delivered}
+            assert len(distinct) < len(delivered)
+            expected += Counter(raw for raw, _, _ in distinct)
+            assert parsed == expected

@@ -9,6 +9,7 @@ from cspsop.policy import (
     META_ELEMENT,
     REPORT_ONLY,
     Policy,
+    _parse,
     extract_policies,
     parse_policy,
     parse_source_expression,
@@ -161,7 +162,12 @@ def test_serialize_round_trip(seed):
     text = policy_text(random.Random(seed))
     parsed = parse_policy(text)
     reparsed = parse_policy(parsed.serialize())
+    # == parses both sides on first use, whichever side is compared first
     assert reparsed == parsed
+    assert parse_policy(text) == parse_policy(parsed.serialize())
+    assert (parsed.directives, parsed.warnings) == _parse(text)
+    assert reparsed.serialize() == parsed.serialize()
+    assert parse_policy(text, REPORT_ONLY) != reparsed
 
 
 @given(st.text(max_size=512))
@@ -169,6 +175,11 @@ def test_serialize_round_trip(seed):
 def test_parse_total_on_arbitrary_text(raw):
     policy = parse_policy(raw)
     assert isinstance(policy, Policy)
+    assert (policy.directives, policy.warnings) == _parse(raw)
+    assert isinstance(policy.serialize(), str)
+    # equal raw text compares equal unparsed; a trailing ";" forces a parse
+    assert parse_policy(raw) == policy
+    assert parse_policy(raw + ";") == policy
 
 
 def test_parse_total_on_64kib_binary_noise():
@@ -176,3 +187,5 @@ def test_parse_total_on_64kib_binary_noise():
     blob = bytes(rng.randrange(256) for _ in range(64 * 1024)).decode("latin-1")
     policy = parse_policy(blob)
     assert isinstance(policy, Policy)
+    assert isinstance(policy.directives, dict)
+    assert isinstance(policy.serialize(), str)

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from cspsop import detector
+from cspsop import policy as policy_module
+from cspsop.corpus import read_corpus, write_corpus
 from cspsop.detector import (
     CATEGORY_DIFFERENT,
     CATEGORY_NO_CSP,
@@ -16,6 +19,7 @@ from cspsop.detector import (
     PairClassification,
     potential_violations,
 )
+from cspsop.policy import ENFORCE, REPORT_ONLY, parse_policy
 from cspsop.report import (
     FORMAT_CSV,
     FORMAT_JSON,
@@ -220,6 +224,46 @@ class TestPotentialReportRendering:
         rows = render(report, FORMAT_CSV).decode().splitlines()
         assert rows[0].startswith("statistic,")
         assert len(rows) == 8  # header + 3 rows per granularity + total
+
+
+class TestLazyParsing:
+    """Policies are parsed only where a table reads their directives."""
+
+    def test_counting_tables_parse_nothing(self, tmp_path, monkeypatch):
+        corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+
+        def no_parse(raw):
+            raise AssertionError(f"parsed {raw!r}")
+
+        monkeypatch.setattr(policy_module, "_parse", no_parse)
+        loaded = read_corpus(path)
+        assert adoption_stats(loaded) == adoption_stats(corpus)
+        assert csp_per_site_distribution(loaded) == csp_per_site_distribution(corpus)
+
+    def test_report_only_policies_never_parsed(self, monkeypatch):
+        corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
+        marker = "; report-uri /report-only"
+        for record in corpus:
+            record.policies = [
+                p if p.disposition == ENFORCE else parse_policy(p.raw + marker, REPORT_ONLY)
+                for p in record.policies
+            ]
+        assert any(marker in p.raw for r in corpus for p in r.policies)
+        real_parse = policy_module._parse
+        parsed = []
+
+        def recording_parse(raw):
+            parsed.append(raw)
+            return real_parse(raw)
+
+        monkeypatch.setattr(policy_module, "_parse", recording_parse)
+        monkeypatch.setattr(detector, "_policy_keys", {})  # no keys memoized by earlier tests
+        potential_violations(corpus)
+        build_pairs(corpus)
+        assert parsed
+        assert not [raw for raw in parsed if marker in raw]
 
 
 class TestRender:
