@@ -230,7 +230,7 @@ def _parse(raw: str) -> tuple[dict[str, Directive], tuple[ParseWarning, ...]]:
         if name not in KNOWN_DIRECTIVES:
             warnings.append(ParseWarning("unknown-directive", name))
         if name in VALUE_LIST_DIRECTIVES:
-            directives[name] = Directive(name, (), tuple(value_tokens))
+            directives[name] = Directive(name, (), opaque_values=tuple(value_tokens))
             continue
         sources: list[SourceExpression] = []
         for token in value_tokens:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from cspsop import policy as policy_module
 from cspsop.corpus import (
     CorpusFormatError,
     UnsupportedSchemaError,
@@ -13,7 +14,6 @@ from cspsop.corpus import (
     record_to_dict,
     write_corpus,
 )
-from cspsop import policy as policy_module
 from cspsop.policy import ENFORCE, META_ELEMENT, parse_policy
 from helpers import make_corpus, make_page
 
