@@ -25,12 +25,6 @@ from .crawler import (
 )
 from .detector import (
     CATEGORY_DIFFERENT,
-    CATEGORY_NO_CSP,
-    CATEGORY_NO_VIOLATION,
-    CATEGORY_ONLY_IFRAME,
-    CATEGORY_ONLY_PARENT,
-    RELATION_RELAXABLE,
-    RELATION_SAME_ORIGIN,
     RELATION_UNRELATED,
     PairClassification,
     classify_pair,
@@ -192,21 +186,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("recommend", help="mitigations for a classified couple")
     p.add_argument(
-        "--relation",
-        required=True,
-        choices=[RELATION_SAME_ORIGIN, RELATION_RELAXABLE, RELATION_UNRELATED],
+        "--relation", required=True, choices=report_mod.RELATIONS + (RELATION_UNRELATED,)
     )
-    p.add_argument(
-        "--category",
-        required=True,
-        choices=[
-            CATEGORY_ONLY_PARENT,
-            CATEGORY_ONLY_IFRAME,
-            CATEGORY_DIFFERENT,
-            CATEGORY_NO_VIOLATION,
-            CATEGORY_NO_CSP,
-        ],
-    )
+    p.add_argument("--category", required=True, choices=report_mod.CATEGORIES)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("fixtures", help="generate srcdoc/sandbox conformance pages")

@@ -11,7 +11,6 @@ keys alone, by Counter arithmetic on their leftovers.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .normalize import NormalizedPolicy
@@ -52,16 +51,6 @@ def compare(a: NormalizedPolicy, b: NormalizedPolicy) -> ComparisonResult:
     return ComparisonResult(
         equal=not differing, differing_directives=frozenset(differing), detail=detail
     )
-
-
-def policy_set_key(keys: Iterable[tuple]) -> tuple:
-    """Hashable form of a policy multiset: the sorted NormalizedPolicy.key
-    values of its policies, () for no policy.
-
-    Two policy lists get equal set keys exactly when policy_sets_equal
-    holds for them.
-    """
-    return tuple(sorted(keys))
 
 
 def policy_sets_equal(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> bool:

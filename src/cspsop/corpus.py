@@ -97,8 +97,8 @@ def record_from_dict(
 
     parsed maps (raw, disposition, delivery) to the Policy already built
     for it. Records read with the same map share one frozen Policy per
-    distinct entry, so a text is parsed at most once however often it
-    repeats.
+    distinct entry, which keeps a loaded corpus small; the analysis parses
+    through its own key cache, not through these objects.
     A field of the wrong JSON type is a CorpusFormatError.
     """
     if not isinstance(data, dict):
@@ -183,10 +183,10 @@ def _parse_header(line: str) -> dict:
 def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
     """Stream records one line at a time; the file is never fully buffered.
 
-    Policies are not parsed here: each is parsed when its directives are
-    first read. Records that carry the same (raw, disposition, delivery)
-    share one Policy object, so a repeated text is parsed at most once per
-    read.
+    Policies are not parsed here, and the analysis does not parse them
+    either: it normalizes through its own key cache. Records that carry
+    the same (raw, disposition, delivery) share one Policy object, which
+    only saves memory.
     """
     parsed: dict[tuple[str, str, str], Policy] = {}
     with _open(path, "r") as fh:

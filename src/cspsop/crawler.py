@@ -281,9 +281,9 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
     Every visited URL yields exactly one record (failures included) and no
     URL is fetched twice. Pages that redirect off-site become leaf records:
     their outgoing references are never followed. Requests are made one at
-    a time, their starts at least config.politeness_delay apart. A seed
-    without an http(s) origin gives one network-error record with no
-    origin or site.
+    a time, each started at least config.politeness_delay after the
+    previous one returned. A seed without an http(s) origin gives one
+    network-error record with no origin or site.
     """
     config = config or CrawlConfig()
     psl = NAIVE_SUFFIXES if config.naive_sites else None
@@ -321,8 +321,9 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
             wait = next_allowed - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
+            response = fetch(url, config)
             next_allowed = time.monotonic() + config.politeness_delay
-            record = build_record(fetch(url, config), depth, psl)
+            record = build_record(response, depth, psl)
             visited.add(record.url)
             records.append(record)
             out.append(record)

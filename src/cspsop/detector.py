@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
-from .compare import difference_evidence, policy_set_key
+from .compare import difference_evidence
 from .crawler import STATUS_OK, PageRecord
 from .normalize import normalize
 from .origins import Origin, SuffixTable, relaxable_to, same_origin
+from .policy import parse_policy
 
 RELATION_SAME_ORIGIN = "same-origin"
 RELATION_RELAXABLE = "relaxable"
@@ -89,40 +91,35 @@ _MITIGATIONS = {
 }
 
 
-# Canonical keys (NormalizedPolicy.key) of recent (policy text,
-# disposition, page origin) inputs. Corpora are site-ordered, so a small
-# memo catches the repeats. It is cleared when full rather than grown:
-# retaining thousands of keys on corpora that rarely repeat makes the
-# cyclic garbage collector cost more than the normalizations saved.
-NORMALIZE_MEMO_SIZE = 64
-_policy_keys: dict[tuple[str, str, Origin], tuple] = {}
-
-
 def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
     """Records that were fetched and have an origin: the pages every
     table counts."""
     return [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
 
 
+# NormalizedPolicy.key of one enforced policy text on one page origin.
+# The cache key must hold every input normalize() reads: today the text
+# and the origin, since only enforced policies get here and delivery is
+# not read. A rule that read delivery (say, ignoring a meta-delivered
+# sandbox) would have to add it. Corpora are site-ordered, so a small LRU
+# catches the repeats. Each miss parses a short-lived Policy, so the
+# records' own policies stay unparsed.
+@lru_cache(maxsize=64)
+def _policy_key(raw: str, origin: Origin) -> tuple:
+    return normalize(parse_policy(raw), origin).key
+
+
 def _enforced_key(record: PageRecord) -> tuple:
-    """Policy-set key of a record's enforced policies, each normalized
-    against the record's origin; () when it has none.
+    """Policy-set key of a record's enforced policies: the sorted
+    NormalizedPolicy.key of each, normalized against the record's origin;
+    () when it has none.
 
     Report-only policies are excluded: they record violations but restrict
     nothing, so they cannot be violated.
     """
     if record.origin is None:
         return ()
-    keys = []
-    for policy in record.enforced_policies():
-        memo_key = (policy.raw, policy.disposition, record.origin)
-        key = _policy_keys.get(memo_key)
-        if key is None:
-            if len(_policy_keys) >= NORMALIZE_MEMO_SIZE:
-                _policy_keys.clear()
-            key = _policy_keys[memo_key] = normalize(policy, record.origin).key
-        keys.append(key)
-    return policy_set_key(keys)
+    return tuple(sorted(_policy_key(p.raw, record.origin) for p in record.enforced_policies()))
 
 
 def _relation(parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None) -> str:

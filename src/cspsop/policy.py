@@ -121,8 +121,9 @@ class Policy:
     structural over directives/disposition/delivery; the original text and
     warnings are carried but not compared, so a reparse of the serialized
     form equals the original. raw text, disposition and delivery determine
-    the rest: callers may memoize by them and share one Policy between
-    records, which then parse it once.
+    the rest, so records may share one Policy to save memory. The analysis
+    keys its normalization cache by text and parses its own short-lived
+    Policy on a miss, so it never parses a record's policies.
     """
 
     raw: str

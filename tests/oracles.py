@@ -10,6 +10,7 @@ the corpus oracle recounts every table with an O(n^2) sweep over all pairs.
 from __future__ import annotations
 
 import re
+from urllib.parse import urlsplit
 
 FALLBACK_ORDER = [
     "script-src",
@@ -314,23 +315,38 @@ def oracle_potential(pages: list[dict]) -> dict[str, set[str]]:
     return flagged
 
 
+def _url_origin(url: str) -> tuple | None:
+    """(scheme, host, port) of an absolute http(s) URL; None for any other
+    URL. The port defaults by scheme."""
+    try:
+        parts = urlsplit(url)
+        port = parts.port
+    except ValueError:
+        return None
+    scheme = parts.scheme.lower()
+    if scheme not in _DEFAULT_PORT or not parts.hostname:
+        return None
+    return (scheme, parts.hostname, int(_DEFAULT_PORT[scheme]) if port is None else port)
+
+
 def oracle_adoption(pages: list[dict]) -> dict[str, int]:
+    """Adoption counts over the fetched pages. An iframe is same-origin
+    when its URL has the page's origin, whether or not it was fetched; its
+    CSP is seen only through its own page in `pages`, so a failed or
+    missing iframe brings none."""
     by_url = {p["url"]: p for p in pages}
     sites = {p["site"] for p in pages if p["site"]}
     with_ss_iframes = [p for p in pages if p["iframes"]]
     so_pages = []
     for page in pages:
-        so = [
-            u
-            for u in page["iframes"]
-            if u in by_url and _relation(page, by_url[u]) == "same-origin"
-        ]
+        own = (page["scheme"], page["host"], page["port"])
+        so = [u for u in page["iframes"] if _url_origin(u) == own]
         if so:
             so_pages.append((page, so))
     so_with_csp = sum(
         1
         for page, so in so_pages
-        if page["any_csp"] or any(by_url[u]["any_csp"] for u in so)
+        if page["any_csp"] or any(u in by_url and by_url[u]["any_csp"] for u in so)
     )
     return {
         "sites": len(sites),

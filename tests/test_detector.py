@@ -10,12 +10,12 @@ from cspsop.detector import (
     CATEGORY_ONLY_IFRAME,
     CATEGORY_ONLY_PARENT,
     DOMAIN_FREEZE_SNIPPET,
-    NORMALIZE_MEMO_SIZE,
     RELATION_RELAXABLE,
     RELATION_SAME_ORIGIN,
     RELATION_UNRELATED,
     PairClassification,
     _enforced_key,
+    _policy_key,
     classify_pair,
     potential_violations,
     recommend,
@@ -122,7 +122,7 @@ class TestNormalizedEnforced:
         corpus = make_corpus(seed=5, sites=4, pages_per_site=60)
         random.Random(2).shuffle(corpus)
         inputs = {(p.raw, r.origin) for r in corpus for p in r.enforced_policies()}
-        assert len(inputs) > NORMALIZE_MEMO_SIZE  # eviction runs
+        assert len(inputs) > _policy_key.cache_info().maxsize  # eviction runs
         for record in corpus:
             fresh = [normalize(p, record.origin).key for p in record.enforced_policies()]
             assert _enforced_key(record) == tuple(sorted(fresh))

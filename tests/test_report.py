@@ -17,6 +17,7 @@ from cspsop.detector import (
     RELATION_RELAXABLE,
     RELATION_SAME_ORIGIN,
     PairClassification,
+    analyzable_pages,
     potential_violations,
 )
 from cspsop.policy import ENFORCE, REPORT_ONLY, parse_policy
@@ -79,16 +80,18 @@ class TestAdoptionStats:
 
     def test_failed_same_origin_iframe_counts_by_url(self):
         # The iframe record failed: its URL still gives both parents a
-        # same-origin iframe, but it brings no CSP of its own.
+        # same-origin iframe, but it brings no CSP, not even the one on its
+        # failed record. The oracle sees only the fetched pages.
         dead = "http://a.com/dead.html"
         corpus = [
             make_page("http://a.com/", "img-src 'self'", iframes=[dead]),
             make_page("http://a.com/p", iframes=[dead], depth="linked"),
-            make_page(dead, depth="iframe-of-home", fetch_status="network-error"),
+            make_page(dead, "script-src 'none'", depth="iframe-of-home", fetch_status="network-error"),
         ]
         report = adoption_stats(corpus)
-        assert report.pages_with_same_origin_iframes == 2
-        assert report.pages_with_so_iframe_and_csp == 1
+        expected = oracle_adoption([record_to_oracle_page(r) for r in analyzable_pages(corpus)])
+        assert report.pages_with_same_origin_iframes == expected["pages_so_iframes"] == 2
+        assert report.pages_with_so_iframe_and_csp == expected["pages_so_iframe_csp"] == 1
 
     def test_failed_fetches_not_counted_as_pages(self):
         report = adoption_stats(make_adoption_corpus())
@@ -259,11 +262,20 @@ class TestLazyParsing:
             return real_parse(raw)
 
         monkeypatch.setattr(policy_module, "_parse", recording_parse)
-        monkeypatch.setattr(detector, "_policy_keys", {})  # no keys memoized by earlier tests
+        detector._policy_key.cache_clear()  # no keys memoized by earlier tests
         potential_violations(corpus)
         build_pairs(corpus)
         assert parsed
         assert not [raw for raw in parsed if marker in raw]
+
+
+    def test_analysis_leaves_read_policies_unparsed(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(make_corpus(seed=3, sites=4, pages_per_site=60), path)
+        loaded = read_corpus(path)
+        potential_violations(loaded)
+        build_pairs(loaded)
+        assert not [p for r in loaded for p in r.policies if "_parsed" in p.__dict__]
 
 
 class TestRender:
