@@ -97,8 +97,8 @@ def record_from_dict(
 
     parsed maps (raw, disposition, delivery) to the Policy already built
     for it. Records read with the same map share one frozen Policy per
-    distinct entry, which keeps a loaded corpus small; the analysis parses
-    through its own key cache, not through these objects.
+    distinct entry, which keeps a loaded corpus small. Nothing here or in
+    the analysis parses them: normalization reads only their text.
     A field of the wrong JSON type is a CorpusFormatError.
     """
     if not isinstance(data, dict):
@@ -184,7 +184,7 @@ def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
     """Stream records one line at a time; the file is never fully buffered.
 
     Policies are not parsed here, and the analysis does not parse them
-    either: it normalizes through its own key cache. Records that carry
+    either: it normalizes their texts token by token. Records that carry
     the same (raw, disposition, delivery) share one Policy object, which
     only saves memory.
     """

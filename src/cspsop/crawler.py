@@ -8,6 +8,7 @@ with arbitrary hostnames can be served from a local test server.
 
 from __future__ import annotations
 
+import email.message
 import hashlib
 import http.client
 import json
@@ -239,6 +240,22 @@ def _site_or_host(host: str, psl: SuffixTable | None) -> SiteKey:
         return SiteKey(host)
 
 
+def _body_text(result: FetchResult) -> str:
+    """The body decoded with the charset its Content-Type declares; UTF-8
+    when it declares none, or one that is unknown or cannot decode (say,
+    charset=undefined)."""
+    content_type = email.message.Message()
+    for name, value in result.headers:
+        if name.lower() == "content-type":
+            content_type["Content-Type"] = value
+            break
+    charset = content_type.get_content_charset() or "utf-8"
+    try:
+        return result.body.decode(charset, errors="replace")
+    except (LookupError, UnicodeError):
+        return result.body.decode("utf-8", errors="replace")
+
+
 def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None) -> PageRecord:
     """Turn one fetch into a PageRecord, extracting policies and references."""
     try:
@@ -257,8 +274,7 @@ def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None
     )
     if result.status != STATUS_OK or origin is None or site is None:
         return record
-    text = result.body.decode("utf-8", errors="replace")
-    scan = scan_document(text)
+    scan = scan_document(_body_text(result))
     record.policies = extract_policies(result.headers, scan.meta_csp)
     record.links_same_site = _same_site_urls(scan.hrefs, result.final_url, site, psl)
     record.iframes_same_site = _same_site_urls(scan.iframe_srcs, result.final_url, site, psl)
@@ -307,7 +323,10 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
             return True
         try:
             return robots.can_fetch(config.user_agent, url)
-        except Exception:
+        except ValueError:
+            # can_fetch re-parses the unquoted URL: urllib.parse rejects,
+            # say, a %5B in the host ("Invalid IPv6 URL"), and quote() a
+            # lone surrogate. Robots cannot rule on such a URL.
             return True
 
     def visit_batch(urls: list[str], depth: str) -> list[PageRecord]:

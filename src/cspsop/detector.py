@@ -102,8 +102,9 @@ def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
 # and the origin, since only enforced policies get here and delivery is
 # not read. A rule that read delivery (say, ignoring a meta-delivered
 # sandbox) would have to add it. Corpora are site-ordered, so a small LRU
-# catches the repeats. Each miss parses a short-lived Policy, so the
-# records' own policies stay unparsed.
+# catches the repeats. A miss normalizes the text token by token through
+# normalize's own token cache and parses no policy, so the records' own
+# policies stay unparsed.
 @lru_cache(maxsize=64)
 def _policy_key(raw: str, origin: Origin) -> tuple:
     return normalize(parse_policy(raw), origin).key

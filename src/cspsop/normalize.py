@@ -11,10 +11,16 @@ of canonical source strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .origins import DEFAULT_PORTS, Origin
-from .policy import Policy, SourceExpression
+from .policy import (
+    VALUE_LIST_DIRECTIVES,
+    Policy,
+    SourceExpression,
+    _directives,
+    parse_source_expression,
+)
 
 # Fetch directives that inherit from default-src. frame-ancestors,
 # report-uri and sandbox never inherit.
@@ -82,57 +88,80 @@ def _host_source_strings(expr: SourceExpression, page_scheme: str) -> set[str]:
     return {_strip_default_port(page_scheme, expr.host, expr.port, path)}
 
 
-def normalize_sources(
-    sources: tuple[SourceExpression, ...], page_origin: Origin
-) -> frozenset[str]:
+# What a token contributes besides its canonical strings: 'self' names the
+# page origin, which the token cache must not see; a nonce or hash drops
+# 'unsafe-inline' from its directive.
+_SELF = "self"
+_INLINE_EXCEPTION = "inline-exception"
+
+
+@lru_cache(maxsize=256)
+def _token_strings(token: str, page_scheme: str) -> frozenset[str] | str:
+    """Canonical strings of one source token on a page of page_scheme, or
+    the _SELF / _INLINE_EXCEPTION marker. A malformed token and 'none'
+    contribute nothing. The page scheme is all a token's strings depend
+    on, so the cache serves every origin of that scheme. 256 entries keep
+    the hosts and keywords a site repeats while per-page nonces pass
+    through; a larger cache hardly hits more and costs memory.
+    """
+    expr = parse_source_expression(token)
+    if expr is None:
+        return frozenset()
+    if expr.kind in ("nonce", "hash"):
+        return _INLINE_EXCEPTION  # opaque per delivery, cannot be compared across pages
+    if expr.kind == "keyword":
+        if expr.keyword == "self":
+            return _SELF
+        return frozenset() if expr.keyword == "none" else frozenset({f"'{expr.keyword}'"})
+    if expr.kind == "wildcard-all":
+        return frozenset({"*"})
+    if expr.kind == "scheme-source":
+        # No host to extend; the token already names its scheme set.
+        return frozenset({f"{expr.scheme}:"})
+    return frozenset(_host_source_strings(expr, page_scheme))
+
+
+def _source_set(tokens: list[str], page_origin: Origin) -> frozenset[str]:
     """Apply the keyword/nonce/scheme rules to one source list."""
-    exprs = list(sources)
-    has_inline_exception = any(e.kind in ("nonce", "hash") for e in exprs)
     out: set[str] = set()
-    for expr in exprs:
-        if expr.kind in ("nonce", "hash"):
-            continue  # opaque per delivery, cannot be compared across pages
-        if expr.kind == "keyword":
-            if expr.keyword == "none":
-                continue
-            if expr.keyword == "self":
-                out.add(page_origin.ascii_serialization())
-                continue
-            if expr.keyword == "unsafe-inline" and has_inline_exception:
-                continue  # ignored by CSP2 when a nonce or hash is present
-            out.add(f"'{expr.keyword}'")
-            continue
-        if expr.kind == "wildcard-all":
-            out.add("*")
-            continue
-        if expr.kind == "scheme-source":
-            # No host to extend; the token already names its scheme set.
-            out.add(f"{expr.scheme}:")
-            continue
-        out.update(_host_source_strings(expr, page_origin.scheme))
+    inline_exception = False
+    scheme = page_origin.scheme
+    for token in tokens:
+        strings = _token_strings(token, scheme)
+        if strings is _SELF:
+            out.add(page_origin.ascii_serialization())
+        elif strings is _INLINE_EXCEPTION:
+            inline_exception = True
+        else:
+            out |= strings
+    if inline_exception:
+        out.discard("'unsafe-inline'")  # ignored by CSP2 when a nonce or hash is present
     return frozenset(out)
 
 
 def normalize(policy: Policy, page_origin: Origin) -> NormalizedPolicy:
-    """Rewrite a parsed policy into its canonical comparable form.
+    """Rewrite a policy into its canonical comparable form.
 
+    Works from the policy's text through the directive grammar and the
+    per-token cache, so it never builds the policy's parse tree. Each
+    missing fallback directive shares default-src's normalized set.
     Report-only policies normalize exactly like enforced ones.
     """
     out: dict[str, frozenset[str]] = {}
-    default = policy.directives.get("default-src")
-    for name, directive in policy.directives.items():
-        if name == "sandbox":
-            out[name] = frozenset(directive.opaque_values)
-        elif name == "report-uri":
-            out[name] = frozenset(v.strip() for v in directive.opaque_values)
+    for name, tokens in _directives(policy.raw):
+        if tokens is None:
+            continue
+        if name in VALUE_LIST_DIRECTIVES:
+            out[name] = frozenset(tokens)
         else:
-            out[name] = normalize_sources(directive.sources, page_origin)
+            out[name] = _source_set(tokens, page_origin)
 
+    default = out.get("default-src")
     for name in FALLBACK_DIRECTIVES:
         if name in out:
             continue
         if default is not None:
-            out[name] = normalize_sources(default.sources, page_origin)
+            out[name] = default
         elif name == "script-src":
             out[name] = PERMISSIVE_SCRIPT
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 ENFORCE = "enforce"
 REPORT_ONLY = "report-only"
@@ -121,9 +121,10 @@ class Policy:
     structural over directives/disposition/delivery; the original text and
     warnings are carried but not compared, so a reparse of the serialized
     form equals the original. raw text, disposition and delivery determine
-    the rest, so records may share one Policy to save memory. The analysis
-    keys its normalization cache by text and parses its own short-lived
-    Policy on a miss, so it never parses a record's policies.
+    the rest, so records may share one Policy to save memory. Only the
+    `parse` command, serialize() and equality of two differing texts read
+    directives and warnings: normalize() works from raw through the same
+    directive grammar, so the analysis never parses a policy.
     """
 
     raw: str
@@ -209,6 +210,27 @@ def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEAD
     return Policy(raw, disposition, delivery)
 
 
+def _directives(raw: str) -> Iterator[tuple[str, list[str] | None]]:
+    """The directive grammar: each ';'-separated directive of raw, in order,
+    as its lower-cased name and its value tokens.
+
+    A repeated name yields None for its tokens: CSP keeps the first
+    occurrence. The tokens of a value-list directive (VALUE_LIST_DIRECTIVES)
+    are opaque values, those of any other directive are its source list.
+    """
+    seen: set[str] = set()
+    for chunk in raw.split(";"):
+        tokens = chunk.split()
+        if not tokens:
+            continue
+        name = tokens[0].lower()
+        if name in seen:
+            yield name, None
+            continue
+        seen.add(name)
+        yield name, tokens[1:]
+
+
 def _parse(raw: str) -> tuple[dict[str, Directive], tuple[ParseWarning, ...]]:
     """Directives and warnings of one policy text.
 
@@ -218,14 +240,8 @@ def _parse(raw: str) -> tuple[dict[str, Directive], tuple[ParseWarning, ...]]:
     """
     directives: dict[str, Directive] = {}
     warnings: list[ParseWarning] = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        tokens = chunk.split()
-        name = tokens[0].lower()
-        value_tokens = tokens[1:]
-        if name in directives:
+    for name, value_tokens in _directives(raw):
+        if value_tokens is None:
             warnings.append(ParseWarning("duplicate-directive", name))
             continue
         if name not in KNOWN_DIRECTIVES:

@@ -1,5 +1,7 @@
 import time
 
+import pytest
+
 from cspsop import crawler
 from cspsop.crawler import (
     DEPTH_HOME,
@@ -79,6 +81,27 @@ class TestExtractIframes:
         record = served(body, "http://main.com/A.html")
         assert record.iframes_same_site == []
         assert record.srcdoc_iframes == 1
+
+
+class TestBodyCharset:
+    def test_declared_charset_decodes_meta_policy(self, fixture_site):
+        page = '<meta http-equiv="Content-Security-Policy" content="img-src café.test">'
+        fixture_site.add("/", page.encode("iso-8859-1"), host="main.com",
+                         content_type="text/html; charset=iso-8859-1")
+        config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
+        record = crawl_site("http://main.com/", config)[0]
+        assert [p.raw for p in record.policies] == ["img-src café.test"]
+
+    @pytest.mark.parametrize("content_type", [
+        "text/html", "text/html; charset=", "text/html; charset=no-such-charset",
+        "text/html; charset=undefined", "text/html; charset=base64",
+    ])
+    def test_missing_or_unusable_charset_falls_back_to_utf8(self, content_type):
+        body = '<meta http-equiv="Content-Security-Policy" content="img-src café.test">'
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", content_type)], body.encode())
+        record = build_record(result, DEPTH_HOME)
+        assert [p.raw for p in record.policies] == ["img-src café.test"]
 
 
 class TestFetch:
@@ -280,6 +303,41 @@ class TestCrawlSite:
         urls = {r.url for r in records}
         assert "http://main.com/open.html" in urls
         assert "http://main.com/private.html" not in urls
+
+    def test_robots_unparseable_url_allowed(self, fixture_site):
+        # can_fetch unquotes the URL and re-parses it: %5B becomes a "[" in
+        # the host, which urllib.parse rejects with a ValueError.
+        odd_host = "x%5b.main.com"
+        fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n", host="main.com",
+                         content_type="text/plain")
+        fixture_site.add(
+            "/", '<a href="http://x%5B.main.com/odd.html">x</a><a href="/private.html">p</a>',
+            host="main.com",
+        )
+        fixture_site.add("/odd.html", "odd", host=odd_host)
+        config = quick_config(
+            respect_robots=True,
+            resolve_overrides=fixture_site.resolve_overrides("main.com", odd_host),
+        )
+        records = crawl_site("http://main.com/", config)
+        by_url = {r.url: r for r in records}
+        assert by_url["http://x%5B.main.com/odd.html"].fetch_status == STATUS_OK
+        assert "http://main.com/private.html" not in by_url
+
+    def test_robots_unexpected_error_surfaces(self, fixture_site, monkeypatch):
+        fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n", host="main.com",
+                         content_type="text/plain")
+        fixture_site.add("/", "home", host="main.com")
+
+        def broken(self, useragent, url):
+            raise RuntimeError("bug in the robots check")
+
+        monkeypatch.setattr(crawler.robotparser.RobotFileParser, "can_fetch", broken)
+        config = quick_config(
+            respect_robots=True, resolve_overrides=fixture_site.resolve_overrides("main.com")
+        )
+        with pytest.raises(RuntimeError):
+            crawl_site("http://main.com/", config)
 
     def test_deterministic_at_parallelism_one(self, fixture_site):
         config = _build_main_site(fixture_site)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,10 +158,44 @@ def test_permissive_fill_dominates_any_whitelist(seed):
         assert _covered_by_permissive(source)
 
 
+# Page origins for the oracle comparisons: both schemes, default and
+# non-default ports, two hosts.
+ORIGIN_POOL = (
+    MAIN,
+    Origin("https", "main.com", 443),
+    Origin("http", "main.com", 8080),
+    Origin("https", "main.com", 8443),
+    SECURE,
+    Origin("http", "x.com", 80),
+)
+
+
 def test_matches_oracle_on_sample():
+    # One warm token cache across draws: a token normalized for one origin
+    # must not leak into the strings of another.
     rng = random.Random(999)
     for _ in range(200):
         text = policy_text(rng)
-        result = normalize(parse_policy(text), MAIN)
-        expected = oracle_normalize(text, "http", "main.com", 80)
-        assert {k: set(v) for k, v in result.directives.items()} == expected, text
+        origin = rng.choice(ORIGIN_POOL)
+        result = normalize(parse_policy(text), origin)
+        expected = oracle_normalize(text, origin.scheme, origin.host, origin.port)
+        assert {k: set(v) for k, v in result.directives.items()} == expected, (text, origin)
+
+
+def test_token_cache_keeps_origins_apart():
+    text = "script-src 'self' a.com"
+    origins = [
+        Origin("http", "a.com", 80),
+        Origin("https", "a.com", 443),
+        Origin("http", "b.com", 80),
+        Origin("http", "a.com", 8080),
+    ]
+    expected = [oracle_normalize(text, o.scheme, o.host, o.port) for o in origins]
+    for order in (origins, origins[::-1]):  # every origin on a warm cache
+        for origin in order:
+            norm(text, origin)
+    keys = [norm(text, origin).key for origin in origins]
+    for origin, key, oracle in zip(origins, keys, expected):
+        assert {name: set(srcs) for name, srcs in key} == oracle, origin
+    for i, j in combinations(range(len(origins)), 2):
+        assert (keys[i] == keys[j]) == (expected[i] == expected[j])

@@ -254,20 +254,25 @@ class TestLazyParsing:
                 for p in record.policies
             ]
         assert any(marker in p.raw for r in corpus for p in r.policies)
-        real_parse = policy_module._parse
-        parsed = []
+        real_normalize = detector.normalize
+        normalized = []
 
-        def recording_parse(raw):
-            parsed.append(raw)
-            return real_parse(raw)
+        def recording_normalize(policy, origin):
+            normalized.append(policy.raw)
+            return real_normalize(policy, origin)
 
-        monkeypatch.setattr(policy_module, "_parse", recording_parse)
+        def no_parse(raw):
+            raise AssertionError(f"parsed {raw!r}")
+
+        monkeypatch.setattr(detector, "normalize", recording_normalize)
+        monkeypatch.setattr(policy_module, "_parse", no_parse)
         detector._policy_key.cache_clear()  # no keys memoized by earlier tests
         potential_violations(corpus)
         build_pairs(corpus)
-        assert parsed
-        assert not [raw for raw in parsed if marker in raw]
-
+        enforced = {p.raw for r in analyzable_pages(corpus) for p in r.enforced_policies()}
+        assert enforced
+        assert set(normalized) == enforced
+        assert not [raw for raw in normalized if marker in raw]
 
     def test_analysis_leaves_read_policies_unparsed(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
