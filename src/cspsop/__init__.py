@@ -8,7 +8,7 @@ parent/iframe couples, crawls sites to measure exposure, and generates
 browser conformance fixtures for the srcdoc sandbox corner case.
 """
 
-from .compare import ComparisonResult, compare, policy_sets_equal
+from .compare import ComparisonResult, compare
 from .corpus import read_corpus, write_corpus
 from .crawler import CrawlConfig, PageRecord, crawl_site, crawl_sites, fetch
 from .detector import (
@@ -26,7 +26,6 @@ from .origins import (
     NoRegistrableDomainError,
     Origin,
     PublicSuffixList,
-    SiteKey,
     UnsupportedUrlError,
     origin_of,
     relaxable_to,
@@ -59,7 +58,6 @@ __all__ = [
     "Policy",
     "PotentialViolationReport",
     "PublicSuffixList",
-    "SiteKey",
     "SourceExpression",
     "UnsupportedUrlError",
     "adoption_stats",
@@ -76,7 +74,6 @@ __all__ = [
     "normalize",
     "origin_of",
     "parse_policy",
-    "policy_sets_equal",
     "potential_violations",
     "read_corpus",
     "recommend",

@@ -54,16 +54,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _policy_json(policy) -> dict:
-    directives = {}
-    for name, directive in policy.directives.items():
-        if directive.opaque_values:
-            directives[name] = list(directive.opaque_values)
-        else:
-            directives[name] = [s.token() for s in directive.sources]
     return {
         "disposition": policy.disposition,
         "delivery": policy.delivery,
-        "directives": directives,
+        "directives": {name: d.tokens() for name, d in policy.directives.items()},
         "warnings": [{"kind": w.kind, "detail": w.detail} for w in policy.warnings],
     }
 

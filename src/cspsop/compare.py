@@ -53,15 +53,6 @@ def compare(a: NormalizedPolicy, b: NormalizedPolicy) -> ComparisonResult:
     )
 
 
-def policy_sets_equal(a: list[NormalizedPolicy], b: list[NormalizedPolicy]) -> bool:
-    """Multiset equality of two policy lists under compare-equality.
-
-    Pages can ship several policies (multiple headers plus meta tags);
-    delivery order does not matter but multiplicity does.
-    """
-    return Counter(p.key for p in a) == Counter(p.key for p in b)
-
-
 def difference_evidence(a: tuple, b: tuple) -> frozenset[str]:
     """Directives that explain why two policy sets, given by their set
     keys, are not multiset-equal.

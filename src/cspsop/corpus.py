@@ -54,7 +54,7 @@ def record_to_dict(record: PageRecord) -> dict:
     }
 
 
-def _policy_from_dict(data: dict, parsed: dict[tuple[str, str, str], Policy]) -> Policy:
+def _policy_from_dict(data: dict, interned: dict[tuple[str, str, str], Policy]) -> Policy:
     raw, disposition, delivery = data["raw"], data["disposition"], data["delivery"]
     if not isinstance(raw, str):
         raise CorpusFormatError(f"policy raw text is {type(raw).__name__}, not a string")
@@ -63,9 +63,9 @@ def _policy_from_dict(data: dict, parsed: dict[tuple[str, str, str], Policy]) ->
     if delivery not in DELIVERIES:
         raise CorpusFormatError(f"unknown policy delivery {delivery!r}")
     key = (raw, disposition, delivery)
-    policy = parsed.get(key)
+    policy = interned.get(key)
     if policy is None:
-        policy = parsed[key] = parse_policy(raw, disposition, delivery)
+        policy = interned[key] = parse_policy(raw, disposition, delivery)
     return policy
 
 
@@ -91,11 +91,11 @@ def _well_typed(data: dict) -> bool:
 
 
 def record_from_dict(
-    data: dict, parsed: dict[tuple[str, str, str], Policy] | None = None
+    data: dict, interned: dict[tuple[str, str, str], Policy] | None = None
 ) -> PageRecord:
     """Rebuild one record from its JSON object.
 
-    parsed maps (raw, disposition, delivery) to the Policy already built
+    interned maps (raw, disposition, delivery) to the Policy already built
     for it. Records read with the same map share one frozen Policy per
     distinct entry, which keeps a loaded corpus small. Nothing here or in
     the analysis parses them: normalization reads only their text.
@@ -103,8 +103,8 @@ def record_from_dict(
     """
     if not isinstance(data, dict):
         raise CorpusFormatError(f"record is {type(data).__name__}, not an object")
-    if parsed is None:
-        parsed = {}
+    if interned is None:
+        interned = {}
     if not _well_typed(data):
         raise CorpusFormatError("a record field has the wrong JSON type")
     origin = data.get("origin")
@@ -116,7 +116,7 @@ def record_from_dict(
         http_status=data.get("http_status"),
         origin=None if origin is None else Origin(origin["scheme"], origin["host"], origin["port"]),
         site=data.get("site"),
-        policies=[_policy_from_dict(p, parsed) for p in data.get("policies", [])],
+        policies=[_policy_from_dict(p, interned) for p in data.get("policies", [])],
         links_same_site=list(data.get("links_same_site", [])),
         iframes_same_site=list(data.get("iframes_same_site", [])),
         srcdoc_iframes=data.get("srcdoc_iframes", 0),
@@ -188,7 +188,7 @@ def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
     the same (raw, disposition, delivery) share one Policy object, which
     only saves memory.
     """
-    parsed: dict[tuple[str, str, str], Policy] = {}
+    interned: dict[tuple[str, str, str], Policy] = {}
     with _open(path, "r") as fh:
         _parse_header(fh.readline())
         for lineno, line in enumerate(fh, start=2):
@@ -197,7 +197,7 @@ def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
                 continue
             try:
                 data = json.loads(line)
-                yield record_from_dict(data, parsed)
+                yield record_from_dict(data, interned)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(str(exc), line=lineno) from exc
 

@@ -18,13 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from urllib import robotparser
-from urllib.parse import urldefrag, urljoin, urlsplit
+from urllib.parse import quote, urldefrag, urljoin, urlsplit
 
 from .origins import (
     NAIVE_SUFFIXES,
     NoRegistrableDomainError,
     Origin,
-    SiteKey,
     SuffixTable,
     UnsupportedUrlError,
     origin_of,
@@ -148,7 +147,7 @@ def scan_document(body: str) -> _DocumentScan:
 
 
 def _same_site_urls(
-    candidates: list[str], base: str, site: SiteKey, psl: SuffixTable | None
+    candidates: list[str], base: str, site: str, psl: SuffixTable | None
 ) -> list[str]:
     """Absolute, deduplicated, fragment-free URLs that stay on the site."""
     out: list[str] = []
@@ -159,10 +158,9 @@ def _same_site_urls(
         except ValueError:
             continue
         try:
-            origin = origin_of(absolute)
-            if site_of(origin.host, psl) != site:
+            if _site_or_host(origin_of(absolute).host, psl) != site:
                 continue
-        except (UnsupportedUrlError, NoRegistrableDomainError):
+        except UnsupportedUrlError:
             continue
         if absolute not in seen:
             seen.add(absolute)
@@ -179,6 +177,10 @@ def _connection_target(origin: Origin, config: CrawlConfig) -> tuple[str, int]:
 
 
 _REDIRECT_STATUSES = {301, 302, 303, 307, 308}
+
+# Every ASCII character, for quote(): http.client sends the request line as
+# ASCII, so only the rest is percent-encoded (as UTF-8, like a browser).
+_ASCII = "".join(map(chr, range(128)))
 
 
 def fetch(url: str, config: CrawlConfig) -> FetchResult:
@@ -206,7 +208,7 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
         try:
             conn.request(
                 "GET",
-                path,
+                quote(path, safe=_ASCII),
                 headers={
                     "Host": origin.ascii_serialization().split("://", 1)[1],
                     "User-Agent": config.user_agent,
@@ -231,13 +233,24 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             conn.close()
 
 
-def _site_or_host(host: str, psl: SuffixTable | None) -> SiteKey:
+def _site_or_host(host: str, psl: SuffixTable | None) -> str:
     # Hosts that are themselves public suffixes (localhost, bare TLD lab
     # setups) degrade to host identity instead of failing the crawl.
     try:
         return site_of(host, psl)
     except NoRegistrableDomainError:
-        return SiteKey(host)
+        return host
+
+
+# The labels that the WHATWG Encoding Standard maps to windows-1252, as
+# browsers decode them. Python's cp1252 leaves 0x81, 0x8D, 0x8F, 0x90 and
+# 0x9D undefined, so those bytes become U+FFFD here, not the C1 controls a
+# browser gives.
+_WINDOWS_1252_LABELS = frozenset({
+    "ansi_x3.4-1968", "ascii", "cp1252", "cp819", "csisolatin1", "ibm819", "iso-8859-1",
+    "iso-ir-100", "iso8859-1", "iso88591", "iso_8859-1", "iso_8859-1:1987", "l1", "latin1",
+    "us-ascii", "windows-1252", "x-cp1252",
+})
 
 
 def _body_text(result: FetchResult) -> str:
@@ -250,6 +263,8 @@ def _body_text(result: FetchResult) -> str:
             content_type["Content-Type"] = value
             break
     charset = content_type.get_content_charset() or "utf-8"
+    if charset in _WINDOWS_1252_LABELS:
+        charset = "cp1252"
     try:
         return result.body.decode(charset, errors="replace")
     except (LookupError, UnicodeError):
@@ -270,7 +285,7 @@ def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None
         fetch_status=result.status,
         http_status=result.http_status,
         origin=origin,
-        site=str(site) if site else None,
+        site=site,
     )
     if result.status != STATUS_OK or origin is None or site is None:
         return record
@@ -358,13 +373,13 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
                 depth=DEPTH_HOME,
                 fetch_status=STATUS_NETWORK_ERROR,
                 origin=seed_origin,
-                site=str(seed_site),
+                site=seed_site,
             )
         ]
     home = home_records[0]
 
     def on_site(record: PageRecord) -> bool:
-        return record.fetch_status == STATUS_OK and record.site == str(seed_site)
+        return record.fetch_status == STATUS_OK and record.site == seed_site
 
     linked: list[PageRecord] = []
     if on_site(home):

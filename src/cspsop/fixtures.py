@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 
 from .normalize import normalize
 from .origins import DEFAULT_PORTS, origin_of
-from .policy import Policy, parse_policy
+from .policy import Policy, parse_policy, parse_source_expression
 
 ENGINE_WEBKIT_BLINK = "webkit-blink"
 ENGINE_GECKO = "gecko"
@@ -76,37 +76,29 @@ def expected_behavior(sandbox_flags: frozenset[str], probe: Probe) -> dict[str, 
 
 
 def _source_matches(source: str, url: str) -> bool:
-    if source == "*":
-        return True
-    if source.startswith("'"):
+    """Whether one canonical source string of a normalized policy matches url."""
+    expr = parse_source_expression(source)
+    if expr is None or expr.kind in ("keyword", "nonce", "hash"):
         return False  # keywords never match a concrete URL
+    if expr.kind == "wildcard-all":
+        return True
     target = urlsplit(url)
     target_port = target.port or DEFAULT_PORTS.get(target.scheme)
-    if source.endswith(":") and "//" not in source:
-        return target.scheme == source[:-1]
-    # Canonical host source: scheme://host[:port|:*][path]
-    text = source if "://" in source else f"{target.scheme}://{source}"
-    scheme, rest = text.split("://", 1)
-    if scheme != target.scheme:
+    if expr.kind == "scheme-source":
+        return target.scheme == expr.scheme
+    if expr.scheme != target.scheme:
         return False
-    host_port, _, path = rest.partition("/")
-    path = "/" + path if path else ""
-    host_pattern, port_text = host_port, ""
-    if ":" in host_port:
-        host_pattern, _, port_text = host_port.rpartition(":")
     host = (target.hostname or "").lower()
-    if host_pattern.startswith("*."):
-        if not host.endswith(host_pattern[1:]) or host == host_pattern[2:]:
+    if expr.host.startswith("*."):
+        if not host.endswith(expr.host[1:]) or host == expr.host[2:]:
             return False
-    elif host != host_pattern:
+    elif host != expr.host:
         return False
-    if port_text != "*":
-        source_port = int(port_text) if port_text else DEFAULT_PORTS.get(scheme)
+    if expr.port != "*":
+        source_port = int(expr.port) if expr.port else DEFAULT_PORTS.get(expr.scheme)
         if source_port != target_port:
             return False
-    if path and not (target.path or "/").startswith(path):
-        return False
-    return True
+    return not expr.path or (target.path or "/").startswith(expr.path)
 
 
 def policy_allows(policy: Policy, page_origin_url: str, directive: str, url: str) -> bool:

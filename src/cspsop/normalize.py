@@ -11,13 +11,12 @@ of canonical source strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .origins import DEFAULT_PORTS, Origin
 from .policy import (
     VALUE_LIST_DIRECTIVES,
     Policy,
-    SourceExpression,
     _directives,
     parse_source_expression,
 )
@@ -50,42 +49,17 @@ class NormalizedPolicy:
     """
 
     directives: dict[str, frozenset[str]]
-    page_origin: Origin
 
-    @cached_property
+    @property
     def key(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Hashable canonical form: (directive, sorted sources) pairs sorted
         by directive. Two keys are equal exactly when compare() reports the
-        policies equal; the page origin is not part of it."""
+        policies equal."""
         return tuple((name, tuple(sorted(srcs))) for name, srcs in sorted(self.directives.items()))
 
     def serialize(self) -> str:
         """Deterministic policy string that re-normalizes to this value."""
         return "; ".join(" ".join((name, *sources)) for name, sources in self.key)
-
-
-def _strip_default_port(scheme: str, host_part: str, port: str | None, path: str) -> str:
-    if port is None or (port.isdigit() and DEFAULT_PORTS.get(scheme) == int(port)):
-        return f"{scheme}://{host_part}{path}"
-    return f"{scheme}://{host_part}:{port}{path}"
-
-
-def _host_source_strings(expr: SourceExpression, page_scheme: str) -> set[str]:
-    """Canonical strings for one host source, scheme-extended per CSP2.
-
-    A schemeless host is reachable over the page's scheme; an http page
-    additionally implies the https upgrade. Explicit default ports are
-    erased so http://h:80 and http://h compare equal.
-    """
-    path = expr.path or ""
-    if expr.scheme:
-        return {_strip_default_port(expr.scheme, expr.host, expr.port, path)}
-    if page_scheme == "http":
-        return {
-            _strip_default_port("http", expr.host, expr.port, path),
-            _strip_default_port("https", expr.host, expr.port, path),
-        }
-    return {_strip_default_port(page_scheme, expr.host, expr.port, path)}
 
 
 # What a token contributes besides its canonical strings: 'self' names the
@@ -105,20 +79,31 @@ def _token_strings(token: str, page_scheme: str) -> frozenset[str] | str:
     through; a larger cache hardly hits more and costs memory.
     """
     expr = parse_source_expression(token)
-    if expr is None:
+    if expr is None or expr.keyword == "none":
         return frozenset()
     if expr.kind in ("nonce", "hash"):
         return _INLINE_EXCEPTION  # opaque per delivery, cannot be compared across pages
-    if expr.kind == "keyword":
-        if expr.keyword == "self":
-            return _SELF
-        return frozenset() if expr.keyword == "none" else frozenset({f"'{expr.keyword}'"})
-    if expr.kind == "wildcard-all":
-        return frozenset({"*"})
-    if expr.kind == "scheme-source":
-        # No host to extend; the token already names its scheme set.
-        return frozenset({f"{expr.scheme}:"})
-    return frozenset(_host_source_strings(expr, page_scheme))
+    if expr.keyword == "self":
+        return _SELF
+    if expr.kind != "host-source":
+        return frozenset({expr.token()})  # a keyword, * or a scheme source names itself
+    # A host source, scheme-extended per CSP2: a schemeless host is reachable
+    # over the page's scheme, and an http page also implies the https
+    # upgrade. An explicit default port is erased, so http://h:80 and
+    # http://h compare equal.
+    if expr.scheme:
+        schemes = (expr.scheme,)
+    elif page_scheme == "http":
+        schemes = ("http", "https")
+    else:
+        schemes = (page_scheme,)
+    out = set()
+    for scheme in schemes:
+        port = expr.port
+        if port is not None and port.isdigit() and DEFAULT_PORTS.get(scheme) == int(port):
+            port = None
+        out.add(expr._replace(scheme=scheme, port=port).token())
+    return frozenset(out)
 
 
 def _source_set(tokens: list[str], page_origin: Origin) -> frozenset[str]:
@@ -167,4 +152,4 @@ def normalize(policy: Policy, page_origin: Origin) -> NormalizedPolicy:
         else:
             out[name] = PERMISSIVE_FETCH
 
-    return NormalizedPolicy(directives=out, page_origin=page_origin)
+    return NormalizedPolicy(directives=out)

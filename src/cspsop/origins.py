@@ -48,16 +48,6 @@ class Origin:
         return self.ascii_serialization()
 
 
-@dataclass(frozen=True, order=True)
-class SiteKey:
-    """Registrable-domain identity shared by all same-site pages."""
-
-    registrable_domain: str
-
-    def __str__(self) -> str:
-        return self.registrable_domain
-
-
 def origin_of(url: str) -> Origin:
     """Extract the (scheme, host, port) origin of an absolute http(s) URL.
 
@@ -182,7 +172,7 @@ def _is_ip_literal(host: str) -> bool:
     return True
 
 
-def site_of(host: str, psl: SuffixTable | None = None) -> SiteKey:
+def site_of(host: str, psl: SuffixTable | None = None) -> str:
     """Site (registrable domain) of a host.
 
     psl=None uses the bundled table; pass NAIVE_SUFFIXES for the last-two-
@@ -191,9 +181,9 @@ def site_of(host: str, psl: SuffixTable | None = None) -> SiteKey:
     """
     host = host.lower().rstrip(".")
     if _is_ip_literal(host):
-        return SiteKey(host)
+        return host
     table = psl if psl is not None else default_psl()
-    return SiteKey(table.registrable_domain(host))
+    return table.registrable_domain(host)
 
 
 def same_origin(a: Origin, b: Origin) -> bool:
@@ -219,4 +209,4 @@ def relaxable_to(a: Origin, b: Origin, psl: SuffixTable | None = None) -> str | 
         return None
     if site_a != site_b:
         return None
-    return site_a.registrable_domain
+    return site_a

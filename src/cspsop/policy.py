@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 ENFORCE = "enforce"
@@ -111,37 +110,37 @@ class Directive(NamedTuple):
     sources: tuple[SourceExpression, ...]
     opaque_values: tuple[str, ...] = ()
 
+    def tokens(self) -> list[str]:
+        """The value tokens in canonical form: the opaque values, or the
+        source expressions' tokens."""
+        return list(self.opaque_values) or [s.token() for s in self.sources]
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Policy:
     """One delivered CSP: its text, disposition and channel.
 
-    directives and warnings are parsed from raw on first access and cached,
-    so a policy that is only stored or counted is never parsed. Equality is
-    structural over directives/disposition/delivery; the original text and
-    warnings are carried but not compared, so a reparse of the serialized
-    form equals the original. raw text, disposition and delivery determine
-    the rest, so records may share one Policy to save memory. Only the
+    directives and warnings are parsed from raw on each access. Only the
     `parse` command, serialize() and equality of two differing texts read
-    directives and warnings: normalize() works from raw through the same
-    directive grammar, so the analysis never parses a policy.
+    them: normalize() works from raw through the same directive grammar,
+    so the analysis never parses a policy. Equality is structural over
+    directives/disposition/delivery; the original text and warnings are
+    carried but not compared, so a reparse of the serialized form equals
+    the original. raw text, disposition and delivery determine the rest,
+    so records may share one Policy to save memory.
     """
 
     raw: str
     disposition: str = ENFORCE
     delivery: str = HTTP_HEADER
 
-    @cached_property
-    def _parsed(self) -> tuple[dict[str, Directive], tuple[ParseWarning, ...]]:
-        return _parse(self.raw)
-
     @property
     def directives(self) -> dict[str, Directive]:
-        return self._parsed[0]
+        return _parse(self.raw)[0]
 
     @property
     def warnings(self) -> tuple[ParseWarning, ...]:
-        return self._parsed[1]
+        return _parse(self.raw)[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Policy):
@@ -155,14 +154,7 @@ class Policy:
 
     def serialize(self) -> str:
         """Canonical policy string; reparses to an equal Policy."""
-        parts = []
-        for directive in self.directives.values():
-            if directive.name in VALUE_LIST_DIRECTIVES:
-                tokens = list(directive.opaque_values)
-            else:
-                tokens = [s.token() for s in directive.sources]
-            parts.append(" ".join([directive.name, *tokens]).strip())
-        return "; ".join(parts)
+        return "; ".join(" ".join([d.name, *d.tokens()]) for d in self.directives.values())
 
 
 def parse_source_expression(token: str) -> SourceExpression | None:
@@ -205,7 +197,7 @@ def parse_source_expression(token: str) -> SourceExpression | None:
 def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEADER) -> Policy:
     """The Policy delivered as raw text. Total: bad input yields warnings,
     never an exception. The text is parsed when its directives or warnings
-    are first read.
+    are read.
     """
     return Policy(raw, disposition, delivery)
 

@@ -121,7 +121,6 @@ def test_comparison_bruteforce_equivalence():
     # Exhaustive: 2 directives x (absent | subset of 3 sources) = 81 policies.
     from cspsop.normalize import NormalizedPolicy
 
-    origin = Origin("http", "main.com", 80)
     sources = ("http://a.com", "http://b.com", "'unsafe-inline'")
     subsets = [frozenset(s for i, s in enumerate(sources) if mask & (1 << i)) for mask in range(8)]
     policies = []
@@ -135,8 +134,8 @@ def test_comparison_bruteforce_equivalence():
             policies.append(directives)
     assert len(policies) == 81
     for da, db in product(policies, repeat=2):
-        na = NormalizedPolicy(directives=dict(da), page_origin=origin)
-        nb = NormalizedPolicy(directives=dict(db), page_origin=origin)
+        na = NormalizedPolicy(directives=dict(da))
+        nb = NormalizedPolicy(directives=dict(db))
         result = compare(na, nb)
         expected = oracle_compare(
             {k: set(v) for k, v in da.items()}, {k: set(v) for k, v in db.items()}

@@ -17,6 +17,7 @@ from cspsop.crawler import (
     PageRecord,
     build_record,
     crawl_site,
+    crawl_sites,
     fetch,
 )
 
@@ -91,6 +92,15 @@ class TestBodyCharset:
         config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
         record = crawl_site("http://main.com/", config)[0]
         assert [p.raw for p in record.policies] == ["img-src café.test"]
+
+    @pytest.mark.parametrize("charset", ["us-ascii", "iso-8859-1"])
+    def test_windows_1252_labels_decode_as_windows_1252(self, charset):
+        # The Encoding Standard maps both labels to windows-1252, where 0x80 is €.
+        body = b'<meta http-equiv="Content-Security-Policy" content="img-src \x80.test">'
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", f"text/html; charset={charset}")], body)
+        record = build_record(result, DEPTH_HOME)
+        assert [p.raw for p in record.policies] == ["img-src €.test"]
 
     @pytest.mark.parametrize("content_type", [
         "text/html", "text/html; charset=", "text/html; charset=no-such-charset",
@@ -282,6 +292,45 @@ class TestCrawlSite:
         assert moved.site == "elsewhere.net"
         # the off-site page's own links were not followed
         assert "http://elsewhere.net/x" not in by_url
+
+    def test_public_suffix_host_follows_its_links(self, fixture_site):
+        # localhost is itself a public suffix: its pages are their own site.
+        fixture_site.add("/", '<a href="/a.html">a</a><iframe src="/f.html"></iframe>',
+                         host="localhost")
+        fixture_site.add("/a.html", "<p>a</p>", host="localhost")
+        fixture_site.add("/f.html", "<p>f</p>", host="localhost")
+        config = quick_config(resolve_overrides=fixture_site.resolve_overrides("localhost"))
+        records = crawl_site("http://localhost/", config)
+        assert [(r.url, r.depth, r.site) for r in records] == [
+            ("http://localhost/", DEPTH_HOME, "localhost"),
+            ("http://localhost/a.html", DEPTH_LINKED, "localhost"),
+            ("http://localhost/f.html", DEPTH_IFRAME_HOME, "localhost"),
+        ]
+
+    def test_non_ascii_path_is_percent_encoded(self, fixture_site):
+        fixture_site.add("/", '<a href="/café">c</a>', host="main.com")
+        fixture_site.add("/caf%C3%A9", "<p>café</p>", host="main.com")
+        config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
+        records = crawl_site("http://main.com/", config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK), ("http://main.com/café", STATUS_OK),
+        ]
+        assert ("main.com", "/caf%C3%A9") in fixture_site.requests
+
+    def test_non_ascii_link_keeps_other_seeds(self, fixture_site):
+        fixture_site.add("/", '<a href="/café">c</a>', host="main.com")
+        fixture_site.add("/caf%C3%A9", "<p>café</p>", host="main.com")
+        fixture_site.add("/", '<a href="/b.html">b</a>', host="other.net")
+        fixture_site.add("/b.html", "<p>b</p>", host="other.net")
+        config = quick_config(
+            resolve_overrides=fixture_site.resolve_overrides("main.com", "other.net"),
+            parallel_sites=2,
+        )
+        records = crawl_sites(["http://main.com/", "http://other.net/"], config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK), ("http://main.com/café", STATUS_OK),
+            ("http://other.net/", STATUS_OK), ("http://other.net/b.html", STATUS_OK),
+        ]
 
     def test_failed_seed_single_record(self):
         config = quick_config(timeout=2.0)

@@ -9,7 +9,6 @@ from cspsop.origins import (
     NoRegistrableDomainError,
     Origin,
     PublicSuffixList,
-    SiteKey,
     UnsupportedUrlError,
     default_psl,
     origin_of,
@@ -56,26 +55,26 @@ class TestOriginOf:
 
 class TestSiteOf:
     def test_subdomain(self):
-        assert site_of("sub.main.com") == SiteKey("main.com")
+        assert site_of("sub.main.com") == "main.com"
 
     def test_already_registrable(self):
-        assert site_of("main.com") == SiteKey("main.com")
+        assert site_of("main.com") == "main.com"
 
     def test_multi_label_suffix(self):
-        assert site_of("a.b.example.co.uk") == SiteKey("example.co.uk")
+        assert site_of("a.b.example.co.uk") == "example.co.uk"
 
     def test_public_suffix_raises(self):
         with pytest.raises(NoRegistrableDomainError):
             site_of("co.uk")
 
     def test_ip_literal_passthrough(self):
-        assert site_of("127.0.0.1") == SiteKey("127.0.0.1")
-        assert site_of("::1") == SiteKey("::1")
+        assert site_of("127.0.0.1") == "127.0.0.1"
+        assert site_of("::1") == "::1"
 
     def test_naive_mode_last_two_labels(self):
-        assert site_of("a.b.example.co.uk", NAIVE_SUFFIXES) == SiteKey("co.uk")
-        assert site_of("sub.main.com", NAIVE_SUFFIXES) == SiteKey("main.com")
-        assert site_of("localhost", NAIVE_SUFFIXES) == SiteKey("localhost")
+        assert site_of("a.b.example.co.uk", NAIVE_SUFFIXES) == "co.uk"
+        assert site_of("sub.main.com", NAIVE_SUFFIXES) == "main.com"
+        assert site_of("localhost", NAIVE_SUFFIXES) == "localhost"
 
     @pytest.mark.parametrize("host,expected", PSL_CASES)
     def test_psl_table(self, host, expected):
@@ -83,13 +82,13 @@ class TestSiteOf:
             with pytest.raises(NoRegistrableDomainError):
                 site_of(host)
         else:
-            assert site_of(host) == SiteKey(expected)
+            assert site_of(host) == expected
 
     def test_idempotent_on_table(self):
         for host, expected in PSL_CASES:
             if expected is None:
                 continue
-            assert site_of(expected) == SiteKey(expected)
+            assert site_of(expected) == expected
 
     def test_custom_table_file(self, tmp_path):
         table = tmp_path / "suffixes.dat"

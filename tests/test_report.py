@@ -245,7 +245,7 @@ class TestLazyParsing:
         assert adoption_stats(loaded) == adoption_stats(corpus)
         assert csp_per_site_distribution(loaded) == csp_per_site_distribution(corpus)
 
-    def test_report_only_policies_never_parsed(self, monkeypatch):
+    def test_report_only_policies_never_parsed(self, monkeypatch, tmp_path):
         corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
         marker = "; report-uri /report-only"
         for record in corpus:
@@ -254,6 +254,8 @@ class TestLazyParsing:
                 for p in record.policies
             ]
         assert any(marker in p.raw for r in corpus for p in r.policies)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
         real_normalize = detector.normalize
         normalized = []
 
@@ -266,21 +268,16 @@ class TestLazyParsing:
 
         monkeypatch.setattr(detector, "normalize", recording_normalize)
         monkeypatch.setattr(policy_module, "_parse", no_parse)
-        detector._policy_key.cache_clear()  # no keys memoized by earlier tests
-        potential_violations(corpus)
-        build_pairs(corpus)
-        enforced = {p.raw for r in analyzable_pages(corpus) for p in r.enforced_policies()}
-        assert enforced
-        assert set(normalized) == enforced
-        assert not [raw for raw in normalized if marker in raw]
-
-    def test_analysis_leaves_read_policies_unparsed(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        write_corpus(make_corpus(seed=3, sites=4, pages_per_site=60), path)
-        loaded = read_corpus(path)
-        potential_violations(loaded)
-        build_pairs(loaded)
-        assert not [p for r in loaded for p in r.policies if "_parsed" in p.__dict__]
+        # Built in memory, and read back from disk.
+        for pages in (corpus, read_corpus(path)):
+            normalized.clear()
+            detector._policy_key.cache_clear()  # no keys memoized by earlier runs
+            potential_violations(pages)
+            build_pairs(pages)
+            enforced = {p.raw for r in analyzable_pages(pages) for p in r.enforced_policies()}
+            assert enforced
+            assert set(normalized) == enforced
+            assert not [raw for raw in normalized if marker in raw]
 
 
 class TestRender:
