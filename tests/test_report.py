@@ -245,7 +245,7 @@ class TestLazyParsing:
         assert adoption_stats(loaded) == adoption_stats(corpus)
         assert csp_per_site_distribution(loaded) == csp_per_site_distribution(corpus)
 
-    def test_report_only_policies_never_parsed(self, monkeypatch, tmp_path):
+    def test_report_only_policies_never_parsed(self, monkeypatch):
         corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
         marker = "; report-uri /report-only"
         for record in corpus:
@@ -254,8 +254,6 @@ class TestLazyParsing:
                 for p in record.policies
             ]
         assert any(marker in p.raw for r in corpus for p in r.policies)
-        path = tmp_path / "corpus.jsonl"
-        write_corpus(corpus, path)
         real_normalize = detector.normalize
         normalized = []
 
@@ -268,16 +266,27 @@ class TestLazyParsing:
 
         monkeypatch.setattr(detector, "normalize", recording_normalize)
         monkeypatch.setattr(policy_module, "_parse", no_parse)
-        # Built in memory, and read back from disk.
-        for pages in (corpus, read_corpus(path)):
-            normalized.clear()
-            detector._policy_key.cache_clear()  # no keys memoized by earlier runs
-            potential_violations(pages)
-            build_pairs(pages)
-            enforced = {p.raw for r in analyzable_pages(pages) for p in r.enforced_policies()}
-            assert enforced
-            assert set(normalized) == enforced
-            assert not [raw for raw in normalized if marker in raw]
+        detector._policy_key.cache_clear()  # no keys memoized by earlier tests
+        potential_violations(corpus)
+        build_pairs(corpus)
+        enforced = {p.raw for r in analyzable_pages(corpus) for p in r.enforced_policies()}
+        assert enforced
+        assert set(normalized) == enforced
+        assert not [raw for raw in normalized if marker in raw]
+
+    def test_analysis_leaves_read_policies_unparsed(self, tmp_path, monkeypatch):
+        corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        expected = (potential_violations(corpus), build_pairs(corpus))
+
+        def no_parse(raw):
+            raise AssertionError(f"parsed {raw!r}")
+
+        monkeypatch.setattr(policy_module, "_parse", no_parse)
+        detector._policy_key.cache_clear()  # no keys memoized from the in-memory run
+        loaded = read_corpus(path)
+        assert (potential_violations(loaded), build_pairs(loaded)) == expected
 
 
 class TestRender:
