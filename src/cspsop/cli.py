@@ -13,7 +13,7 @@ import sys
 
 from . import report as report_mod
 from .compare import compare
-from .corpus import CorpusFormatError, read_corpus, write_corpus
+from .corpus import CorpusFormatError, iter_site_groups, read_corpus, write_corpus
 from .crawler import (
     DEPTH_HOME,
     DEPTH_IFRAME_HOME,
@@ -295,20 +295,30 @@ _RENDER_FORMATS = {
 }
 
 
+# Each table over a list of records, with the suffix table of the
+# relaxable test.
+_TABLES = {
+    "adoption": lambda records, psl: report_mod.adoption_stats(records),
+    "violations": lambda records, psl: report_mod.violation_table(records, psl),
+    "potential": lambda records, psl: potential_violations(records),
+    "csp-per-site": lambda records, psl: report_mod.csp_per_site_distribution(records),
+    "directive-diff": lambda records, psl: report_mod.directive_diff_histogram(
+        [p.classification for p in report_mod.build_pairs(records, psl)]
+    ),
+}
+
+
 def _cmd_analyze(args) -> int:
-    corpus = read_corpus(args.corpus)
+    """Sum the table over the corpus's site groups; when the corpus is not
+    site-local, read it again and run the table over all of it at once."""
     psl = NAIVE_SUFFIXES if getattr(args, "naive_sites", False) else None
-    if args.table == "adoption":
-        result = report_mod.adoption_stats(corpus)
-    elif args.table == "violations":
-        result = report_mod.violation_table(corpus, psl)
-    elif args.table == "potential":
-        result = potential_violations(corpus)
-    elif args.table == "csp-per-site":
-        result = report_mod.csp_per_site_distribution(corpus)
-    else:
-        pairs = [p.classification for p in report_mod.build_pairs(corpus, psl)]
-        result = report_mod.directive_diff_histogram(pairs)
+
+    def table(records):
+        return _TABLES[args.table](records, psl)
+
+    result = report_mod.sum_site_groups(iter_site_groups(args.corpus), table)
+    if result is None:
+        result = table(read_corpus(args.corpus))
     _emit(report_mod.render(result, _RENDER_FORMATS[args.format]), args.out)
     return EXIT_OK
 
@@ -333,12 +343,15 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    manifest = generate_suite(
-        args.out,
-        beacon_base=args.beacon,
-        page_origin_url=args.page_origin,
-        page_csp=args.page_csp,
-    )
+    try:
+        manifest = generate_suite(
+            args.out,
+            beacon_base=args.beacon,
+            page_origin_url=args.page_origin,
+            page_csp=args.page_csp,
+        )
+    except ValueError as exc:  # a probe the page CSP allows, or bad sandbox flags
+        raise UsageError(str(exc)) from exc
     print(f"generated {len(manifest['cases'])} cases in {args.out}", file=sys.stderr)
     return EXIT_OK
 

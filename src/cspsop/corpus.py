@@ -180,6 +180,28 @@ def _parse_header(line: str) -> dict:
     return header
 
 
+def _objects(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, decoded JSON) of each record line, after the header."""
+    with _open(path, "r") as fh:
+        _parse_header(fh.readline())
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(str(exc), line=lineno) from exc
+            yield lineno, data
+
+
+def _record(lineno: int, data: object, interned: dict[tuple[str, str, str], Policy]) -> PageRecord:
+    try:
+        return record_from_dict(data, interned)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(str(exc), line=lineno) from exc
+
+
 def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
     """Stream records one line at a time; the file is never fully buffered.
 
@@ -189,17 +211,33 @@ def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
     only saves memory.
     """
     interned: dict[tuple[str, str, str], Policy] = {}
-    with _open(path, "r") as fh:
-        _parse_header(fh.readline())
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                yield record_from_dict(data, interned)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(str(exc), line=lineno) from exc
+    for lineno, data in _objects(path):
+        yield _record(lineno, data, interned)
+
+
+def iter_site_groups(path: str | Path) -> Iterator[list[PageRecord]]:
+    """Stream the corpus as site groups: runs of consecutive records with
+    the same `site`, in corpus order. None and "" are different sites.
+
+    A group is yielded before the first record of the next one is built,
+    so only one site's records are alive at a time. The Policy interning
+    map is cleared at each site boundary, so it never outgrows one site
+    either. A site whose records are not contiguous comes out as several
+    groups; report.sum_site_groups detects that. A malformed line raises
+    the same CorpusFormatError as iter_corpus, after the groups before it
+    have been yielded.
+    """
+    interned: dict[tuple[str, str, str], Policy] = {}
+    group: list[PageRecord] = []
+    for lineno, data in _objects(path):
+        site = data.get("site") if isinstance(data, dict) else None
+        if group and site != group[0].site:
+            yield group
+            group = []
+            interned.clear()
+        group.append(_record(lineno, data, interned))
+    if group:
+        yield group
 
 
 def read_corpus(path: str | Path) -> list[PageRecord]:

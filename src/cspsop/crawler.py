@@ -227,7 +227,10 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             return FetchResult(url, current, status, response.status, response.getheaders(), body)
         except socket.timeout:
             return FetchResult(url, current, STATUS_TIMEOUT, None, [], b"")
-        except (OSError, http.client.HTTPException):
+        except (OSError, http.client.HTTPException, UnicodeError):
+            # UnicodeError: http.client sends the Host header as Latin-1, so
+            # a host outside it (an IDN not yet in A-label form) cannot be
+            # requested.
             return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
         finally:
             conn.close()

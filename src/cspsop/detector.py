@@ -91,10 +91,42 @@ _MITIGATIONS = {
 }
 
 
-def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
+class Pages(list):
+    """Records already filtered by analyzable_pages."""
+
+
+def analyzable_pages(corpus: list[PageRecord]) -> Pages:
     """Records that were fetched and have an origin: the pages every
-    table counts."""
-    return [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
+    table counts. Pages passed back in are returned as they are, so a
+    caller that filtered a group once can hand it to any table."""
+    if isinstance(corpus, Pages):
+        return corpus
+    return Pages([r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None])
+
+
+class Additive:
+    """A table whose value over site-local groups of records is the sum of
+    its values over each group (see report.sum_site_groups).
+
+    `a += b` adds b into a field by field: numbers and Ratios add, dicts
+    add per key (a key missing from a takes b's value), lists extend in
+    place and nested Additive fields add in place.
+    """
+
+    def __iadd__(self, other):
+        mine = vars(self)
+        for name, value in vars(other).items():
+            mine[name] = _added(mine[name], value)
+        return self
+
+
+def _added(a, b):
+    if isinstance(a, dict):
+        for key, value in b.items():
+            a[key] = _added(a[key], value) if key in a else value
+        return a
+    a += b
+    return a
 
 
 # NormalizedPolicy.key of one enforced policy text on one page origin.
@@ -186,9 +218,12 @@ class Ratio:
     def to_dict(self) -> dict:
         return {"count": self.count, "denominator": self.denominator, "percent": self.percent}
 
+    def __add__(self, other: Ratio) -> Ratio:
+        return Ratio(self.count + other.count, self.denominator + other.denominator)
+
 
 @dataclass
-class GranularityCounts:
+class GranularityCounts(Additive):
     """Flag totals for one peer granularity, in pages/origins/sites."""
 
     pages_peer_no_csp: int = 0
@@ -207,7 +242,7 @@ class GranularityCounts:
 
 
 @dataclass
-class PotentialViolationReport:
+class PotentialViolationReport(Additive):
     pages_with_csp: int
     origins_with_csp: int
     sites_with_csp: int

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from .detector import (
     RELATION_RELAXABLE,
     RELATION_SAME_ORIGIN,
     RELATION_UNRELATED,
+    Additive,
     PairClassification,
     Ratio,
     analyzable_pages,
@@ -44,7 +46,7 @@ RELATIONS = (RELATION_SAME_ORIGIN, RELATION_RELAXABLE)
 
 
 @dataclass
-class AdoptionReport:
+class AdoptionReport(Additive):
     """Crawling statistics: how widely CSP is deployed across the corpus."""
 
     sites_crawled: int = 0
@@ -141,7 +143,7 @@ BUCKET_LABELS = tuple(f"{lo}-{lo + 10}" for lo in range(0, 100, 10))
 
 
 @dataclass
-class SiteCspHistogram:
+class SiteCspHistogram(Additive):
     """Sites bucketed by the share of their pages carrying a CSP.
 
     Only sites with at least one CSP page appear; buckets are [lo, lo+10)
@@ -201,7 +203,7 @@ def build_pairs(corpus: list[PageRecord], psl: SuffixTable | None = None) -> lis
 
 
 @dataclass
-class ViolationTable:
+class ViolationTable(Additive):
     """Category x relation matrix over classifiable parent-iframe couples.
 
     The rate denominator per relation counts couples where at least one
@@ -263,11 +265,19 @@ def violation_table(corpus: list[PageRecord], psl: SuffixTable | None = None) ->
 
 
 @dataclass
-class DirectiveDiffHistogram:
-    """How often each directive appears in the evidence of differing pairs."""
+class DirectiveDiffHistogram(Additive):
+    """How often each directive appears in the evidence of differing pairs.
 
-    fractions: dict[str, Ratio] = field(default_factory=dict)
+    evidence counts, per directive, the differing pairs whose evidence
+    names it; pairs_total counts the differing pairs.
+    """
+
+    evidence: Counter = field(default_factory=Counter)
     pairs_total: int = 0
+
+    @property
+    def fractions(self) -> dict[str, Ratio]:
+        return {name: Ratio(count, self.pairs_total) for name, count in self.evidence.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -295,9 +305,8 @@ def directive_diff_histogram(classifications: list[PairClassification]) -> Direc
         for c in classifications
         if c.category == CATEGORY_DIFFERENT and c.relation != RELATION_UNRELATED
     ]
-    counts = Counter(name for classification in differing for name in classification.evidence)
     return DirectiveDiffHistogram(
-        fractions={name: Ratio(count, len(differing)) for name, count in counts.items()},
+        evidence=Counter(name for classification in differing for name in classification.evidence),
         pairs_total=len(differing),
     )
 
@@ -329,6 +338,50 @@ def page_set_diffs(
                 evidence = difference_evidence(a, b)
                 out += [PairClassification(relation, CATEGORY_DIFFERENT, evidence)] * couples
     return out
+
+
+def sum_site_groups(
+    groups: Iterable[list[PageRecord]], table: Callable[[list[PageRecord]], Additive]
+) -> Additive | None:
+    """One table over a corpus read as site groups (corpus.iter_site_groups):
+    the sum of the table over each group's analyzable pages, or None when
+    that sum may differ from the table over the whole corpus.
+
+    The sum is exact when the corpus is site-local, that is when:
+    1. each site's records are contiguous, so that a site is one group;
+    2. no analyzable record's URL occurs in two groups;
+    3. no iframe URL that is left unresolved in its own group is the URL of
+       an analyzable record in another group (a same-site iframe that
+       redirected off-site has its record under the other site);
+    4. no origin of an analyzable record occurs in two groups, so that
+       distinct-origin counts add.
+    Peer groups (site, scheme, port) and iframe couples then never cross a
+    group. Across groups only the sites and the hashes of URLs and origins
+    are kept: a false match between two hashes returns None, which costs a
+    whole-corpus pass, never a wrong count. A failed check returns at once,
+    except 3, which is known only at the end.
+    """
+    sites: set[str | None] = set()
+    urls: set[int] = set()
+    origins: set[int] = set()
+    unresolved: set[int] = set()
+    total = table([])
+    for group in groups:
+        pages = analyzable_pages(group)
+        group_urls = {r.url for r in pages}
+        url_hashes = set(map(hash, group_urls))
+        origin_hashes = {hash(r.origin) for r in pages}
+        site = group[0].site
+        if site in sites or not urls.isdisjoint(url_hashes) or not origins.isdisjoint(origin_hashes):
+            return None
+        sites.add(site)
+        urls |= url_hashes
+        origins |= origin_hashes
+        unresolved.update(
+            hash(u) for r in pages for u in r.iframes_same_site if u not in group_urls
+        )
+        total += table(pages)
+    return total if unresolved.isdisjoint(urls) else None
 
 
 FORMAT_TEXT = "text-table"

@@ -352,3 +352,13 @@ class TestFixturesCommand:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["cases"]) == 8
+
+    def test_probe_allowed_by_page_csp_is_usage_error(self, capsys, tmp_path):
+        # The default page CSP allows its own origin, so a page served from
+        # the beacon host could load every probe.
+        argv = ["fixtures", "--out", str(tmp_path / "fixtures"),
+                "--page-origin", "https://probe-host.invalid"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: probe https://probe-host.invalid/")
+        assert "allowed by the page CSP" in err

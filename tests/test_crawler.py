@@ -332,6 +332,24 @@ class TestCrawlSite:
             ("http://other.net/", STATUS_OK), ("http://other.net/b.html", STATUS_OK),
         ]
 
+    def test_non_latin1_host_keeps_other_seeds(self, fixture_site):
+        # http.client cannot send this Host header; the page becomes a failed
+        # record instead of aborting the whole crawl.
+        fixture_site.add("/", '<a href="http://пример.main.com/">p</a>', host="main.com")
+        fixture_site.add("/", '<a href="/b.html">b</a>', host="other.net")
+        fixture_site.add("/b.html", "<p>b</p>", host="other.net")
+        config = quick_config(
+            resolve_overrides=fixture_site.resolve_overrides(
+                "main.com", "other.net", "пример.main.com"
+            ),
+            parallel_sites=2,
+        )
+        records = crawl_sites(["http://main.com/", "http://other.net/"], config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK), ("http://пример.main.com/", STATUS_NETWORK_ERROR),
+            ("http://other.net/", STATUS_OK), ("http://other.net/b.html", STATUS_OK),
+        ]
+
     def test_failed_seed_single_record(self):
         config = quick_config(timeout=2.0)
         records = crawl_site("http://no-such-host.invalid/", config)
