@@ -24,7 +24,6 @@ from .crawler import (
     fetch,
 )
 from .detector import (
-    CATEGORY_DIFFERENT,
     RELATION_UNRELATED,
     PairClassification,
     classify_pair,
@@ -161,15 +160,11 @@ def build_parser() -> _Parser:
 
     corpus_args = argparse.ArgumentParser(add_help=False)
     corpus_args.add_argument("--corpus", required=True)
-    corpus_args.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    corpus_args.add_argument("--format", choices=_RENDER_FORMATS, default="text")
     corpus_args.add_argument("--out", help="write to file instead of stdout")
 
     p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
-    p.add_argument(
-        "--table",
-        choices=["adoption", "violations", "potential", "directive-diff", "csp-per-site"],
-        default="adoption",
-    )
+    p.add_argument("--table", choices=_TABLES, default="adoption")
     p.add_argument(
         "--naive-sites", action="store_true",
         help="last-two-labels sites in the relaxable test of couples",
@@ -301,10 +296,10 @@ _TABLES = {
     "adoption": lambda records, psl: report_mod.adoption_stats(records),
     "violations": lambda records, psl: report_mod.violation_table(records, psl),
     "potential": lambda records, psl: potential_violations(records),
-    "csp-per-site": lambda records, psl: report_mod.csp_per_site_distribution(records),
     "directive-diff": lambda records, psl: report_mod.directive_diff_histogram(
         [p.classification for p in report_mod.build_pairs(records, psl)]
     ),
+    "csp-per-site": lambda records, psl: report_mod.csp_per_site_distribution(records),
 }
 
 
@@ -324,12 +319,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    classification = PairClassification(
-        relation=args.relation,
-        category=args.category,
-        evidence=frozenset({"script-src"}) if args.category == CATEGORY_DIFFERENT else frozenset(),
-    )
-    mitigations = recommend(classification)
+    mitigations = recommend(PairClassification(args.relation, args.category))
     if args.format == "json":
         _emit(_mitigations_json(mitigations))
     else:

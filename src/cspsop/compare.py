@@ -32,35 +32,28 @@ class ComparisonResult:
 def compare(a: NormalizedPolicy, b: NormalizedPolicy) -> ComparisonResult:
     """Report which directives differ between two normalized policies.
 
-    Every directive present in either policy is examined; a directive
-    differs when its canonical source sets are unequal, and present-vs-absent
-    counts as a difference (an empty delta marks pure presence mismatches).
+    A directive differs by the rule of difference_evidence, applied to the
+    two policies as one-policy sets: its canonical source sets are unequal,
+    absence counting as a value (an empty delta marks a pure presence
+    mismatch).
     """
-    differing: set[str] = set()
-    detail: dict[str, DirectiveDelta] = {}
-    for name in sorted(set(a.directives) | set(b.directives)):
-        in_a = name in a.directives
-        in_b = name in b.directives
+    differing = difference_evidence((a.key,), (b.key,))
+    detail = {}
+    for name in sorted(differing):
         set_a = a.directives.get(name, frozenset())
         set_b = b.directives.get(name, frozenset())
-        if in_a != in_b or set_a != set_b:
-            differing.add(name)
-            detail[name] = DirectiveDelta(
-                only_in_a=frozenset(set_a - set_b), only_in_b=frozenset(set_b - set_a)
-            )
-    return ComparisonResult(
-        equal=not differing, differing_directives=frozenset(differing), detail=detail
-    )
+        detail[name] = DirectiveDelta(only_in_a=set_a - set_b, only_in_b=set_b - set_a)
+    return ComparisonResult(equal=not differing, differing_directives=differing, detail=detail)
 
 
 def difference_evidence(a: tuple, b: tuple) -> frozenset[str]:
     """Directives that explain why two policy sets, given by their set
     keys, are not multiset-equal.
 
-    This is the union of compare()'s differing directives over every
-    pairing of a's unmatched policies with b's. A directive is in it
-    exactly when the leftovers of both sides do not all hold one value for
-    it, absence counting as a value. When one side has no leftover, the
+    A directive is in it exactly when the leftovers of both sides do not
+    all hold one value for it, absence counting as a value: the union,
+    over every pairing of a's unmatched policies with b's, of the
+    directives whose source sets differ. When one side has no leftover, the
     difference is pure multiplicity: the surplus deliveries themselves are
     the discrepancy, so everything they restrict is named.
     """

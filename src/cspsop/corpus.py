@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import json
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -220,24 +221,19 @@ def iter_site_groups(path: str | Path) -> Iterator[list[PageRecord]]:
     the same `site`, in corpus order. None and "" are different sites.
 
     A group is yielded before the first record of the next one is built,
-    so only one site's records are alive at a time. The Policy interning
-    map is cleared at each site boundary, so it never outgrows one site
+    so only one site's records are alive at a time. Each group interns its
+    Policies in a map of its own, so that map never outgrows one site
     either. A site whose records are not contiguous comes out as several
     groups; report.sum_site_groups detects that. A malformed line raises
     the same CorpusFormatError as iter_corpus, after the groups before it
     have been yielded.
     """
-    interned: dict[tuple[str, str, str], Policy] = {}
-    group: list[PageRecord] = []
-    for lineno, data in _objects(path):
-        site = data.get("site") if isinstance(data, dict) else None
-        if group and site != group[0].site:
-            yield group
-            group = []
-            interned.clear()
-        group.append(_record(lineno, data, interned))
-    if group:
-        yield group
+    def site(item: tuple[int, object]) -> object:
+        return item[1].get("site") if isinstance(item[1], dict) else None
+
+    for _, run in groupby(_objects(path), key=site):
+        interned: dict[tuple[str, str, str], Policy] = {}
+        yield [_record(lineno, data, interned) for lineno, data in run]
 
 
 def read_corpus(path: str | Path) -> list[PageRecord]:

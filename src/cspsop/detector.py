@@ -91,17 +91,10 @@ _MITIGATIONS = {
 }
 
 
-class Pages(list):
-    """Records already filtered by analyzable_pages."""
-
-
-def analyzable_pages(corpus: list[PageRecord]) -> Pages:
+def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
     """Records that were fetched and have an origin: the pages every
-    table counts. Pages passed back in are returned as they are, so a
-    caller that filtered a group once can hand it to any table."""
-    if isinstance(corpus, Pages):
-        return corpus
-    return Pages([r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None])
+    table counts."""
+    return [r for r in corpus if r.fetch_status == STATUS_OK and r.origin is not None]
 
 
 class Additive:
@@ -186,9 +179,7 @@ def classify_pair(
 
 def recommend(classification: PairClassification) -> list[Mitigation]:
     """Ordered mitigation advice for one classified couple."""
-    if classification.relation == RELATION_UNRELATED:
-        return []
-    if classification.category not in VIOLATION_CATEGORIES:
+    if not classification.is_violation():
         return []
     out = [_MITIGATIONS["origin-wide-csp"]]
     if classification.relation == RELATION_RELAXABLE:

@@ -201,13 +201,8 @@ def _index_html(case: FixtureCase) -> str:
 """
 
 
-def generate_fixture(case: FixtureCase, out_dir: str | Path, page_origin_url: str = "http://localhost:8000") -> list[Path]:
-    """Write one case directory: the page, its header stub, and the verdicts.
-
-    Rejects sandbox flags outside the supported set and refuses to generate
-    a case whose probe would be allowed by the page CSP at top level (such a
-    probe could never demonstrate policy inheritance).
-    """
+def _check_case(case: FixtureCase, page_origin_url: str) -> None:
+    """Raise the ValueError of a case that generate_fixture rejects."""
     bad = case.sandbox_flags - SANDBOX_FLAGS
     if bad:
         raise ValueError(f"unsupported sandbox flags: {sorted(bad)}")
@@ -215,6 +210,16 @@ def generate_fixture(case: FixtureCase, out_dir: str | Path, page_origin_url: st
         raise ValueError(
             f"probe {case.probe.url} is allowed by the page CSP ({case.probe.directive})"
         )
+
+
+def generate_fixture(case: FixtureCase, out_dir: str | Path, page_origin_url: str = "http://localhost:8000") -> list[Path]:
+    """Write one case directory: the page, its header stub, and the verdicts.
+
+    Rejects sandbox flags outside the supported set and refuses to generate
+    a case whose probe would be allowed by the page CSP at top level (such a
+    probe could never demonstrate policy inheritance).
+    """
+    _check_case(case, page_origin_url)
     case_dir = Path(out_dir) / "cases" / case.case_id
     case_dir.mkdir(parents=True, exist_ok=True)
     files = []
@@ -253,7 +258,12 @@ def generate_suite(
 
     Returns the manifest dict (also written to manifest.json). The probe
     resources under probe/ are meant to be served from the beacon host.
+    Every case is checked before anything is written, so a rejected case
+    leaves out_dir untouched.
     """
+    cases = default_cases(beacon_base=beacon_base, page_csp=page_csp)
+    for case in cases:
+        _check_case(case, page_origin_url)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "recorder.js").write_text(_RECORDER_JS, encoding="utf-8")
@@ -262,7 +272,6 @@ def generate_suite(
     (probe_dir / "probe.js").write_text(_PROBE_JS, encoding="utf-8")
     (probe_dir / "pixel.png").write_bytes(_PIXEL_PNG)
 
-    cases = default_cases(beacon_base=beacon_base, page_csp=page_csp)
     manifest_cases = []
     for case in cases:
         generate_fixture(case, out, page_origin_url=page_origin_url)

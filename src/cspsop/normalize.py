@@ -15,23 +15,11 @@ from functools import lru_cache
 
 from .origins import DEFAULT_PORTS, Origin
 from .policy import (
+    FALLBACK_DIRECTIVES,
     VALUE_LIST_DIRECTIVES,
     Policy,
     _directives,
     parse_source_expression,
-)
-
-# Fetch directives that inherit from default-src. frame-ancestors,
-# report-uri and sandbox never inherit.
-FALLBACK_DIRECTIVES = (
-    "script-src",
-    "style-src",
-    "img-src",
-    "font-src",
-    "connect-src",
-    "object-src",
-    "media-src",
-    "child-src",
 )
 
 # Most permissive fill-ins used when default-src is absent.

@@ -64,13 +64,11 @@ def origin_of(url: str) -> Origin:
     host = parts.hostname
     if not host:
         raise UnsupportedUrlError(f"no host in {url!r}")
-    try:
+    try:  # urlsplit takes port 0, which Origin rejects
         port = parts.port
+        return Origin(scheme, host.lower(), DEFAULT_PORTS[scheme] if port is None else port)
     except ValueError as exc:
         raise UnsupportedUrlError(f"invalid port in {url!r}") from exc
-    if port is None:
-        port = DEFAULT_PORTS[scheme]
-    return Origin(scheme, host.lower(), port)
 
 
 class PublicSuffixList:

@@ -21,27 +21,27 @@ DELIVERIES = frozenset({HTTP_HEADER, META_ELEMENT})
 CSP_HEADER = "content-security-policy"
 CSP_REPORT_ONLY_HEADER = "content-security-policy-report-only"
 
-# Directives with a known role. Anything else is carried opaquely and
-# flagged with an unknown-directive warning.
-KNOWN_DIRECTIVES = frozenset(
-    {
-        "script-src",
-        "default-src",
-        "style-src",
-        "img-src",
-        "font-src",
-        "connect-src",
-        "object-src",
-        "report-uri",
-        "media-src",
-        "child-src",
-        "frame-ancestors",
-        "sandbox",
-    }
+# Fetch directives that inherit from default-src. frame-ancestors,
+# report-uri and sandbox never inherit.
+FALLBACK_DIRECTIVES = (
+    "script-src",
+    "style-src",
+    "img-src",
+    "font-src",
+    "connect-src",
+    "object-src",
+    "media-src",
+    "child-src",
 )
 
 # Directives whose value is not a source list: tokens stay opaque.
 VALUE_LIST_DIRECTIVES = frozenset({"sandbox", "report-uri"})
+
+# Directives with a known role. Anything else is carried opaquely and
+# flagged with an unknown-directive warning.
+KNOWN_DIRECTIVES = frozenset(
+    {"default-src", "frame-ancestors", *FALLBACK_DIRECTIVES, *VALUE_LIST_DIRECTIVES}
+)
 
 KEYWORDS = frozenset({"self", "unsafe-inline", "unsafe-eval", "none"})
 

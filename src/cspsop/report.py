@@ -26,6 +26,7 @@ from .detector import (
     RELATION_RELAXABLE,
     RELATION_SAME_ORIGIN,
     RELATION_UNRELATED,
+    VIOLATION_CATEGORIES,
     Additive,
     PairClassification,
     Ratio,
@@ -258,7 +259,7 @@ def violation_table(corpus: list[PageRecord], psl: SuffixTable | None = None) ->
         cells[pair.classification.category][relation] += 1
     totals = {}
     for rel in RELATIONS:
-        violations = sum(cells[c][rel] for c in (CATEGORY_ONLY_PARENT, CATEGORY_ONLY_IFRAME, CATEGORY_DIFFERENT))
+        violations = sum(cells[c][rel] for c in VIOLATION_CATEGORIES)
         with_csp = violations + cells[CATEGORY_NO_VIOLATION][rel]
         totals[rel] = Ratio(violations, with_csp)
     return ViolationTable(cells=cells, violations_total=totals, couples_excluded_unrelated=excluded)
@@ -344,8 +345,8 @@ def sum_site_groups(
     groups: Iterable[list[PageRecord]], table: Callable[[list[PageRecord]], Additive]
 ) -> Additive | None:
     """One table over a corpus read as site groups (corpus.iter_site_groups):
-    the sum of the table over each group's analyzable pages, or None when
-    that sum may differ from the table over the whole corpus.
+    the sum of the table over each group, or None when that sum may differ
+    from the table over the whole corpus.
 
     The sum is exact when the corpus is site-local, that is when:
     1. each site's records are contiguous, so that a site is one group;
@@ -380,7 +381,7 @@ def sum_site_groups(
         unresolved.update(
             hash(u) for r in pages for u in r.iframes_same_site if u not in group_urls
         )
-        total += table(pages)
+        total += table(group)
     return total if unresolved.isdisjoint(urls) else None
 
 

@@ -93,6 +93,11 @@ class TestNormalize:
     def test_bad_origin_is_usage_error(self, capsys):
         assert main(["normalize", "--policy", "img-src 'self'", "--origin", "not a url"]) == EXIT_USAGE
 
+    def test_port_zero_origin_is_usage_error(self, capsys):
+        code = main(["normalize", "--policy", "img-src 'self'", "--origin", "http://x.com:0/"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == ["error: invalid port in 'http://x.com:0/'"]
+
 
 class TestCompare:
     def test_equal_policies(self, capsys):
@@ -234,6 +239,15 @@ class TestCrawlAndAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pages_visited"] == 11
 
+    def test_port_zero_iframe_is_not_same_origin(self, capsys, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(_corpus_text(_record_with(iframes_same_site=["http://v.com:0/x"])))
+        code = main(["analyze", "--corpus", str(corpus_path), "--table", "adoption", "--format", "json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pages_with_same_site_iframes"] == 1
+        assert payload["pages_with_same_origin_iframes"] == 0
+
     def test_analyze_violations_golden(self, capsys, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"
         write_corpus(make_violation_corpus(), corpus_path)
@@ -362,3 +376,10 @@ class TestFixturesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: probe https://probe-host.invalid/")
         assert "allowed by the page CSP" in err
+
+    def test_rejected_suite_writes_no_file(self, capsys, tmp_path):
+        out = tmp_path / "fixtures"
+        out.mkdir()
+        argv = ["fixtures", "--out", str(out), "--page-origin", "https://probe-host.invalid"]
+        assert main(argv) == EXIT_USAGE
+        assert list(out.iterdir()) == []

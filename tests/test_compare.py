@@ -57,6 +57,14 @@ class TestCompare:
         assert delta.only_in_a == frozenset({"http://main.com"})
         assert delta.only_in_b == frozenset()
 
+    def test_pure_presence_mismatch_has_empty_deltas(self):
+        a = norm("default-src 'self'; frame-ancestors 'none'")
+        b = norm("default-src 'self'")
+        result = compare(a, b)
+        assert result.differing_directives == frozenset({"frame-ancestors"})
+        delta = result.detail["frame-ancestors"]
+        assert delta.only_in_a == delta.only_in_b == frozenset()
+
     def test_detail_for_shared_directive(self):
         a = norm("script-src a.com shared.net")
         b = norm("script-src b.com shared.net")

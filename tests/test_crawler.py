@@ -61,6 +61,10 @@ class TestExtractLinks:
         body = '<a href="mailto:x@main.com">m</a><a href="javascript:void(0)">j</a>'
         assert served(body, "http://main.com/").links_same_site == []
 
+    def test_port_zero_link_dropped(self):
+        body = '<a href="http://main.com:0/">zero</a><a href="/ok">ok</a>'
+        assert served(body, "http://main.com/").links_same_site == ["http://main.com/ok"]
+
     def test_broken_markup_tolerated(self):
         body = '<a href="/ok"><div><<<<a href="http://main.com/also>unclosed'
         assert "http://main.com/ok" in served(body, "http://main.com/").links_same_site
