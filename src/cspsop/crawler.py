@@ -11,12 +11,15 @@ from __future__ import annotations
 import email.message
 import hashlib
 import http.client
+import ipaddress
 import json
+import re
 import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
+from functools import lru_cache
+from html import unescape
 from urllib import robotparser
 from urllib.parse import quote, urldefrag, urljoin, urlsplit
 
@@ -60,8 +63,8 @@ class CrawlConfig:
     body_cap: int = 5 * 1024 * 1024
     respect_robots: bool = True
     naive_sites: bool = False
-    # host -> "address:port"; like curl --resolve, lets tests serve
-    # main.com style fixture hosts from 127.0.0.1.
+    # host -> "ADDR[:PORT]" (see _resolve_target); like curl --resolve, lets
+    # tests serve main.com style fixture hosts from 127.0.0.1.
     resolve_overrides: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -73,6 +76,8 @@ class CrawlConfig:
             raise ValueError("timeout must be > 0")
         if not self.politeness_delay >= 0:
             raise ValueError("politeness_delay must be >= 0")
+        for target in self.resolve_overrides.values():
+            _resolve_target(target)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.__dict__, sort_keys=True, default=str)
@@ -112,38 +117,189 @@ class PageRecord:
         return bool(self.policies)
 
 
-class _DocumentScan(HTMLParser):
-    """Single pass over possibly broken HTML: anchors, iframes, meta CSP."""
+# The start-tag-end, tag-name, attribute and end-tag patterns of
+# html/parser.py in CPython 3.10-3.13.0, verbatim, and the comment,
+# declaration-name and marked-section patterns of its _markupbase.py:
+# scan_document finds tags exactly where HTMLParser.feed() + close() calls
+# handle_starttag.
+_STARTTAG_END = re.compile(r"""
+  <[a-zA-Z][^\t\n\r\f />\x00]*       # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+_TAG_NAME = re.compile(r'([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*')
+_ATTRIBUTE = re.compile(
+    r'((?<=[\'"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*'
+    r'(\'[^\']*\'|"[^"]*"|(?![\'"])[^>\s]*))?(?:\s|/(?!>))*')
+_END_TAG = re.compile(r'</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>')
+_COMMENT_CLOSE = re.compile(r'--\s*>')
+_DECLARATION_NAME = re.compile(r'[a-zA-Z][-_.a-zA-Z0-9]*\s*')
+_MARKED_SECTION_CLOSE = re.compile(r']\s*]\s*>')
+_MS_MARKED_SECTION_CLOSE = re.compile(r']\s*>')
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.hrefs: list[str] = []
-        self.iframe_srcs: list[str] = []
-        self.srcdoc_count = 0
-        self.meta_csp: list[str] = []
-
-    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        attr_map: dict[str, str] = {}
-        for key, value in attrs:
-            if value is not None and key not in attr_map:
-                attr_map[key.lower()] = value
-        if tag == "a" and attr_map.get("href"):
-            self.hrefs.append(attr_map["href"])
-        elif tag == "iframe":
-            if "srcdoc" in attr_map:
-                self.srcdoc_count += 1
-            elif attr_map.get("src"):
-                self.iframe_srcs.append(attr_map["src"])
-        elif tag == "meta":
-            if attr_map.get("http-equiv", "").lower() == "content-security-policy":
-                self.meta_csp.append(attr_map.get("content", ""))
+_ASCII_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# A start tag whose pattern match stops before one of these, or at the end
+# of the body, is incomplete.
+_TAG_CUT_SHORT = _ASCII_LETTERS | {"=", "/"}
+# The first letters of the tags whose attributes are read.
+_READ_TAG_INITIALS = frozenset("aimsAIMS")
+# script and style hold raw text up to their end tag. re.I also lets
+# U+017F and U+212A match s and k there; such a match is not an end tag
+# (_END_TAG must match it too), and the raw text goes on.
+_RAW_TEXT_END = {
+    name: re.compile(r"</\s*%s\s*>" % name, re.I) for name in ("script", "style")
+}
 
 
-def scan_document(body: str) -> _DocumentScan:
-    scan = _DocumentScan()
-    scan.feed(body)
-    scan.close()
+@dataclass
+class DocumentScan:
+    """What a page embeds: anchor hrefs, iframe srcs, srcdoc iframes, meta CSPs."""
+
+    hrefs: list[str] = field(default_factory=list)
+    iframe_srcs: list[str] = field(default_factory=list)
+    srcdoc_count: int = 0
+    meta_csp: list[str] = field(default_factory=list)
+
+
+def scan_document(body: str) -> DocumentScan:
+    """One pass over possibly broken HTML, by the tokenizer rules of
+    html.parser in CPython 3.10-3.13.0 (see README, "What the crawler
+    reads"), with one difference: a marked section with no name or an
+    unknown keyword (say, `<![ x` or `<![foo[`) is a bogus comment up to
+    the next `>`, where HTMLParser raises AssertionError."""
+    scan = DocumentScan()
+    find = body.find
+    starttag_end = _STARTTAG_END.match
+    last = len(body) - 1  # a "<" there is text
+    i = find("<")
+    while 0 <= i < last:
+        c = body[i + 1]
+        if c in _ASCII_LETTERS:
+            j = starttag_end(body, i).end()
+            c = body[j:j + 1]
+            if c == ">":
+                end = j + 1
+            elif c == "/":
+                end = j + 2 if body.startswith("/>", j) else -1
+            elif not c or c in _TAG_CUT_SHORT:
+                end = -1  # cut short
+            else:
+                end = j  # bogus input: the tag is text up to here
+            if end >= 0 and body[i + 1] in _READ_TAG_INITIALS:
+                end = _read_tag(body, i, end, scan)
+        elif c == "/" or c == "?":
+            # An end tag, a bogus comment or a processing instruction ends
+            # at the next ">".
+            end = find(">", i + 2)
+            end = end + 1 if end >= 0 else -1
+        elif c == "!":
+            end = _declaration_end(body, i)
+        else:  # a stray "<"
+            end = i + 1
+        if end < 0:
+            # An incomplete construct is text up to and with the next ">",
+            # or else up to the next "<".
+            end = find(">", i + 1)
+            if end >= 0:
+                end += 1
+            else:
+                end = find("<", i + 1)
+                if end < 0:
+                    break
+        i = find("<", end)
     return scan
+
+
+def _declaration_end(body: str, i: int) -> int:
+    """End of the "<!" construct at i, or -1 if it is incomplete."""
+    if body.startswith("<!--", i):
+        close = _COMMENT_CLOSE.search(body, i + 4)
+        return close.end() if close else -1
+    if body.startswith("<![", i):
+        if i + 3 == len(body):
+            return -1
+        name = _DECLARATION_NAME.match(body, i + 3)
+        if name:
+            if name.end() == len(body):
+                return -1
+            keyword = name.group().strip().lower()
+            if keyword in ("temp", "cdata", "ignore", "include", "rcdata"):
+                close = _MARKED_SECTION_CLOSE.search(body, i + 3)
+                return close.end() if close else -1
+            if keyword in ("if", "else", "endif"):
+                close = _MS_MARKED_SECTION_CLOSE.search(body, i + 3)
+                return close.end() if close else -1
+        # No name or an unknown keyword: a bogus comment, like the rest.
+    elif body[i:i + 9].lower() == "<!doctype":
+        end = body.find(">", i + 9)
+        return end + 1 if end >= 0 else -1
+    end = body.find(">", i + 2)
+    return end + 1 if end >= 0 else -1
+
+
+def _read_tag(body: str, i: int, end: int, scan: DocumentScan) -> int:
+    """Records what the start tag from i to end embeds, if it is an a,
+    iframe or meta tag. Returns end, or the end of the raw text after an
+    opened script or style."""
+    name_match = _TAG_NAME.match(body, i + 1)
+    tag = name_match.group(1).lower()
+    if tag not in ("a", "iframe", "meta", "script", "style"):
+        return end
+    # Attribute values stay escaped until read; the first valued
+    # occurrence of a name wins.
+    attrs: dict[str, str] = {}
+    k = name_match.end()
+    while k < end:
+        m = _ATTRIBUTE.match(body, k)
+        if not m:
+            break
+        name, rest, value = m.group(1, 2, 3)
+        if rest:
+            if value[:1] == "'" == value[-1:] or value[:1] == '"' == value[-1:]:
+                value = value[1:-1]
+            attrs.setdefault(name.lower(), value)
+        k = m.end()
+    closing = body[k:end].strip()
+    if closing != ">" and closing != "/>":
+        return end  # not a tag after all, but text
+    if tag == "a":
+        href = unescape(attrs.get("href", ""))
+        if href:
+            scan.hrefs.append(href)
+    elif tag == "iframe":
+        if "srcdoc" in attrs:
+            scan.srcdoc_count += 1
+        else:
+            src = unescape(attrs.get("src", ""))
+            if src:
+                scan.iframe_srcs.append(src)
+    elif tag == "meta":
+        if unescape(attrs.get("http-equiv", "")).lower() == "content-security-policy":
+            scan.meta_csp.append(unescape(attrs.get("content", "")))
+    elif closing == ">":
+        return _raw_text_end(body, end, tag)
+    return end
+
+
+def _raw_text_end(body: str, start: int, tag: str) -> int:
+    pattern = _RAW_TEXT_END[tag]
+    while True:
+        m = pattern.search(body, start)
+        if m is None:
+            return len(body)  # the rest of the document is raw text
+        if _END_TAG.match(body, m.start()):
+            return m.end()
+        start = m.end()
 
 
 def _same_site_urls(
@@ -168,12 +324,40 @@ def _same_site_urls(
     return out
 
 
+def _resolve_target(target: str) -> tuple[str, int | None]:
+    """The (address, port) of a resolve override "ADDR[:PORT]"; port None
+    keeps the URL's port.
+
+    ADDR is a host name, an IPv4 address or a bracketed IPv6 address
+    ("[::1]:8080"); PORT is 1-65535. Raises ValueError for anything else.
+    """
+    if target.startswith("["):
+        address, bracket, rest = target[1:].partition("]")
+        if not bracket or rest[:1] not in ("", ":"):
+            raise ValueError(f"resolve override {target!r} is not [IPV6][:PORT]")
+        try:
+            ipaddress.IPv6Address(address)
+        except ValueError:
+            raise ValueError(f"resolve override {target!r}: bad IPv6 address") from None
+        port_text = rest[1:] if rest else None
+    else:
+        address, colon, port_text = target.partition(":")
+        if not address or any(c in "[]/" or c.isspace() for c in address):
+            raise ValueError(f"resolve override {target!r} is not ADDR[:PORT]")
+        port_text = port_text if colon else None
+    if port_text is None:
+        return address, None
+    if not (port_text.isascii() and port_text.isdigit() and 1 <= int(port_text) <= 65535):
+        raise ValueError(f"resolve override {target!r}: port is not in 1-65535")
+    return address, int(port_text)
+
+
 def _connection_target(origin: Origin, config: CrawlConfig) -> tuple[str, int]:
     override = config.resolve_overrides.get(origin.host)
     if not override:
         return origin.host, origin.port
-    host, _, port = override.partition(":")
-    return host, int(port) if port else origin.port
+    address, port = _resolve_target(override)
+    return address, origin.port if port is None else port
 
 
 _REDIRECT_STATUSES = {301, 302, 303, 307, 308}
@@ -236,9 +420,12 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             conn.close()
 
 
+@lru_cache(maxsize=4096)
 def _site_or_host(host: str, psl: SuffixTable | None) -> str:
     # Hosts that are themselves public suffixes (localhost, bare TLD lab
-    # setups) degrade to host identity instead of failing the crawl.
+    # setups) degrade to host identity instead of failing the crawl. A
+    # crawl asks for each link's site, so the answers are cached by (host,
+    # suffix table).
     try:
         return site_of(host, psl)
     except NoRegistrableDomainError:

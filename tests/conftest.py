@@ -7,6 +7,7 @@ resolve overrides while everything stays on 127.0.0.1.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -86,11 +87,8 @@ def _make_handler(site: FixtureSite):
     return Handler
 
 
-@pytest.fixture
-def fixture_site():
-    site = FixtureSite()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(site))
-    site.port = server.server_address[1]
+def _serve(site: FixtureSite, server: ThreadingHTTPServer):
+    site.host, site.port = server.server_address[:2]
     # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -101,3 +99,24 @@ def fixture_site():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _IPv6Server(ThreadingHTTPServer):
+    address_family = socket.AF_INET6
+
+
+@pytest.fixture
+def fixture_site():
+    site = FixtureSite()
+    yield from _serve(site, ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(site)))
+
+
+@pytest.fixture
+def fixture_site_v6():
+    """The same server on the IPv6 loopback ::1."""
+    site = FixtureSite()
+    try:
+        server = _IPv6Server(("::1", 0), _make_handler(site))
+    except OSError as exc:
+        pytest.skip(f"no IPv6 loopback: {exc}")
+    yield from _serve(site, server)

@@ -10,6 +10,7 @@ the corpus oracle recounts every table with an O(n^2) sweep over all pairs.
 from __future__ import annotations
 
 import re
+from html.parser import HTMLParser
 from urllib.parse import urlsplit
 
 FALLBACK_ORDER = [
@@ -387,3 +388,41 @@ def oracle_directive_diff(pages: list[dict]) -> dict[str, int] | None:
                 counts[name] = counts.get(name, 0) + 1
     counts["__pairs__"] = pairs
     return counts
+
+
+class _DocumentScan(HTMLParser):
+    """Single pass over possibly broken HTML: anchors, iframes, meta CSP."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.hrefs: list[str] = []
+        self.iframe_srcs: list[str] = []
+        self.srcdoc_count = 0
+        self.meta_csp: list[str] = []
+
+    def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
+        attr_map: dict[str, str] = {}
+        for key, value in attrs:
+            if value is not None and key not in attr_map:
+                attr_map[key.lower()] = value
+        if tag == "a" and attr_map.get("href"):
+            self.hrefs.append(attr_map["href"])
+        elif tag == "iframe":
+            if "srcdoc" in attr_map:
+                self.srcdoc_count += 1
+            elif attr_map.get("src"):
+                self.iframe_srcs.append(attr_map["src"])
+        elif tag == "meta":
+            if attr_map.get("http-equiv", "").lower() == "content-security-policy":
+                self.meta_csp.append(attr_map.get("content", ""))
+
+
+def oracle_scan(body: str) -> _DocumentScan:
+    """What the standard library's HTMLParser finds in body: the crawler's
+    scanner before it got its own tokenizer. HTMLParser raises
+    AssertionError on a marked section with no name or an unknown keyword
+    (`<![ x`, `<![foo[`)."""
+    scan = _DocumentScan()
+    scan.feed(body)
+    scan.close()
+    return scan

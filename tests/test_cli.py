@@ -227,6 +227,36 @@ class TestCrawlAndAnalyze:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", [
+        "127.0.0.1:xyz", "127.0.0.1:70000", "127.0.0.1:0", "::1:9", "[::1]9", "[main.com]:9",
+    ])
+    def test_bad_resolve_target_exits_1(self, capsys, tmp_path, target):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("http://main.com/\n")
+        out = tmp_path / "corpus.jsonl"
+        code = main(["crawl", "--seeds", str(seeds), "--out", str(out),
+                     "--resolve", f"main.com={target}"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and target in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_crawl_through_bracketed_ipv6_resolve(self, capsys, tmp_path, fixture_site_v6):
+        fixture_site_v6.add("/", '<a href="/a.html">a</a>', host="main.com")
+        fixture_site_v6.add("/a.html", "<p>a</p>", host="main.com")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("http://main.com/\n")
+        out = tmp_path / "corpus.jsonl"
+        code = main([
+            "crawl", "--seeds", str(seeds), "--out", str(out),
+            "--politeness", "0", "--respect-robots", "false",
+            "--resolve", f"main.com=[::1]:{fixture_site_v6.port}",
+        ])
+        assert code == EXIT_OK
+        assert [(r.url, r.fetch_status) for r in read_corpus(out)] == [
+            ("http://main.com/", "ok"), ("http://main.com/a.html", "ok"),
+        ]
+
     def test_zero_politeness_is_kept(self):
         args = build_parser().parse_args(["crawl", "--seeds", "s", "--out", "o", "--politeness", "0"])
         assert _config_from_args(args).politeness_delay == 0

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from cspsop import crawler
+from cspsop.origins import NAIVE_SUFFIXES
 from cspsop.crawler import (
     DEPTH_HOME,
     DEPTH_IFRAME_HOME,
@@ -68,6 +69,11 @@ class TestExtractLinks:
     def test_broken_markup_tolerated(self):
         body = '<a href="/ok"><div><<<<a href="http://main.com/also>unclosed'
         assert "http://main.com/ok" in served(body, "http://main.com/").links_same_site
+
+    @pytest.mark.parametrize("body", ["<p><![ x <a href=/y> <a href=/z>", "<![foo[ ]]><a href=/z>"])
+    def test_unknown_marked_section_is_a_bogus_comment(self, body):
+        # html.parser raises AssertionError on both; each runs to the next ">".
+        assert served(body, "http://main.com/").links_same_site == ["http://main.com/z"]
 
 
 class TestExtractIframes:
@@ -431,3 +437,82 @@ class TestCrawlSite:
         records = crawl_site("http://main.com/", config)
         assert len(starts) == len(records) == 5
         assert all(later - earlier >= 0.05 for earlier, later in zip(starts, starts[1:]))
+
+    def test_unknown_marked_section_keeps_the_crawl(self, fixture_site):
+        fixture_site.add("/", '<a href="/a.html">a</a><![foo[ x ]]><a href="/b.html">b</a>',
+                         host="main.com")
+        fixture_site.add("/a.html", "<p><![ x <p>a</p>", host="main.com")
+        fixture_site.add("/b.html", "<p>b</p>", host="main.com")
+        fixture_site.add("/", "<p>other</p>", host="other.net")
+        config = quick_config(
+            resolve_overrides=fixture_site.resolve_overrides("main.com", "other.net")
+        )
+        records = crawl_sites(["http://main.com/", "http://other.net/"], config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK),
+            ("http://main.com/a.html", STATUS_OK),
+            ("http://main.com/b.html", STATUS_OK),
+            ("http://other.net/", STATUS_OK),
+        ]
+
+
+class TestResolveOverrides:
+    @pytest.mark.parametrize("target,expected", [
+        ("127.0.0.1:8080", ("127.0.0.1", 8080)),
+        ("127.0.0.1", ("127.0.0.1", 80)),
+        ("backend.test:1", ("backend.test", 1)),
+        ("[::1]:65535", ("::1", 65535)),
+        ("[::1]", ("::1", 80)),
+    ])
+    def test_connection_target(self, target, expected):
+        config = quick_config(resolve_overrides={"main.com": target})
+        origin = crawler.origin_of("http://main.com/")
+        assert crawler._connection_target(origin, config) == expected
+
+    @pytest.mark.parametrize("target", [
+        "127.0.0.1:xyz", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:", "127.0.0.1:+80",
+        "127.0.0.1:８０", "::1", "::1:9", "[::1", "[::1]9", "[::1]:", "[main.com]:9", "[]:9",
+        ":80", "a b:80", "a/b:80",
+    ])
+    def test_bad_target_is_rejected(self, target):
+        with pytest.raises(ValueError):
+            quick_config(resolve_overrides={"main.com": target})
+
+    def test_ipv6_loopback(self, fixture_site_v6):
+        fixture_site_v6.add("/", '<a href="/a.html">a</a>', host="main.com")
+        fixture_site_v6.add("/a.html", "<p>a</p>", host="main.com")
+        config = quick_config(resolve_overrides={"main.com": f"[::1]:{fixture_site_v6.port}"})
+        records = crawl_site("http://main.com/", config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK), ("http://main.com/a.html", STATUS_OK),
+        ]
+
+
+class TestSiteCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        crawler._site_or_host.cache_clear()
+        yield
+        crawler._site_or_host.cache_clear()
+
+    @pytest.mark.parametrize("tables", [(None, NAIVE_SUFFIXES), (NAIVE_SUFFIXES, None)])
+    def test_keyed_by_suffix_table(self, tables):
+        expected = {None: "b.co.uk", NAIVE_SUFFIXES: "co.uk"}
+        for _ in range(2):  # the second round reads the cache
+            for psl in tables:
+                assert crawler._site_or_host("a.b.co.uk", psl) == expected[psl]
+
+    def test_one_site_of_call_per_host(self, fixture_site, monkeypatch):
+        calls = []
+
+        def counted(host, psl=None):
+            calls.append(host)
+            return site_of(host, psl)
+
+        site_of = crawler.site_of
+        monkeypatch.setattr(crawler, "site_of", counted)
+        config = _build_main_site(fixture_site)
+        fixture_site.add("/two.html", '<a href="/">home</a><a href="/one.html">one</a>',
+                         host="main.com")
+        assert len(crawl_site("http://main.com/", config)) == 5
+        assert sorted(calls) == ["elsewhere.net", "main.com"]
