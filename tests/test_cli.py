@@ -127,6 +127,44 @@ class TestCompare:
         assert payload["detail"]["script-src"]["only_in_a"] == ["http://x.com"]
 
 
+_COMMAND_GOLDENS = {
+    "parse": [
+        "parse", "--policy",
+        "script-src 'self' cdn.net; script-src b.com; img-src ftp://x.com:99999; "
+        "sandbox allow-scripts allow-forms",
+    ],
+    "normalize": [
+        "normalize", "--origin", "http://main.com", "--policy",
+        "default-src 'self'; script-src third.com:8080 https://cdn.net 'nonce-abc' "
+        "'unsafe-inline'; img-src *",
+    ],
+    "compare-equal": [
+        "compare", "--a", "script-src 'self'", "--origin-a", "http://x.com",
+        "--b", "script-src 'self'", "--origin-b", "http://x.com:80",
+    ],
+    "compare-differing": [
+        "compare", "--a", "default-src 'self'; img-src c.com a.com; report-uri /r",
+        "--origin-a", "https://x.com",
+        "--b", "default-src 'self'; script-src b.com", "--origin-b", "https://x.com",
+    ],
+    "recommend-relaxable-different": [
+        "recommend", "--relation", "relaxable", "--category", "different-csp", "--format", "json",
+    ],
+    "recommend-no-violation": [
+        "recommend", "--relation", "same-origin", "--category", "no-violation", "--format", "json",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_GOLDENS))
+def test_command_json_golden(capsys, name):
+    """The JSON of the policy and advice commands, byte for byte: the parse
+    warnings and value lists, normalize's two-scheme host expansion,
+    compare's equal and differing results, and recommend's mitigations."""
+    assert main(_COMMAND_GOLDENS[name]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN_DIR / f"cli-{name}.json").read_bytes()
+
+
 class TestAuditPair:
     def test_only_parent_csp_exits_3(self, capsys, fixture_site):
         fixture_site.add("/A.html", '<iframe src="B.html"></iframe>',
