@@ -7,7 +7,6 @@ finds an exploitable couple, so CI jobs can gate on their own sites.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -57,7 +56,7 @@ def _policy_json(policy) -> dict:
         "disposition": policy.disposition,
         "delivery": policy.delivery,
         "directives": {name: d.tokens() for name, d in policy.directives.items()},
-        "warnings": [{"kind": w.kind, "detail": w.detail} for w in policy.warnings],
+        "warnings": policy.warnings,
     }
 
 
@@ -68,10 +67,8 @@ def _read_policy_arg(args) -> str:
         return fh.read().strip()
 
 
-def _emit(payload, out_path: str | None = None) -> None:
-    data = payload if isinstance(payload, (bytes, bytearray)) else (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    ).encode()
+def _emit(value, out_path: str | None = None, fmt: str = report_mod.FORMAT_JSON) -> None:
+    data = report_mod.render(value, fmt)
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(data)
@@ -199,30 +196,14 @@ def _cmd_parse(args) -> int:
 def _cmd_normalize(args) -> int:
     policy = parse_policy(_read_policy_arg(args))
     origin = origin_of(args.origin)
-    normalized = normalize(policy, origin)
-    _emit(
-        {
-            "page_origin": str(origin),
-            "directives": {n: sorted(s) for n, s in normalized.directives.items()},
-        }
-    )
+    _emit({"page_origin": str(origin), "directives": normalize(policy, origin).directives})
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     na = normalize(parse_policy(args.a), origin_of(args.origin_a))
     nb = normalize(parse_policy(args.b), origin_of(args.origin_b))
-    result = compare(na, nb)
-    _emit(
-        {
-            "equal": result.equal,
-            "differing_directives": sorted(result.differing_directives),
-            "detail": {
-                name: {"only_in_a": sorted(d.only_in_a), "only_in_b": sorted(d.only_in_b)}
-                for name, d in result.detail.items()
-            },
-        }
-    )
+    _emit(compare(na, nb))
     return EXIT_OK
 
 
@@ -252,7 +233,7 @@ def _cmd_audit_pair(args) -> int:
                 "iframe": {"url": iframe.url, "origin": str(iframe.origin), "policies": len(iframe.enforced_policies())},
                 "relation": classification.relation,
                 "category": classification.category,
-                "evidence": sorted(classification.evidence),
+                "evidence": classification.evidence,
                 "violation": classification.is_violation(),
                 "mitigations": _mitigations_json(mitigations),
             }
@@ -273,8 +254,9 @@ def _cmd_audit_pair(args) -> int:
 
 def _cmd_crawl(args) -> int:
     config = _config_from_args(args)
-    with open(args.seeds, encoding="utf-8") as fh:
-        seeds = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
+    with open(args.seeds, encoding="utf-8-sig") as fh:
+        seeds = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    open(args.out, "ab").close()  # an unwritable --out fails before the first request
     records = crawl_sites(seeds, config)
     records.sort(key=lambda r: (r.site or "", r.url))
     meta = {"seeds": len(seeds), "config_hash": config.config_hash()}
@@ -314,7 +296,7 @@ def _cmd_analyze(args) -> int:
     result = report_mod.sum_site_groups(iter_site_groups(args.corpus), table)
     if result is None:
         result = table(read_corpus(args.corpus))
-    _emit(report_mod.render(result, _RENDER_FORMATS[args.format]), args.out)
+    _emit(result, args.out, _RENDER_FORMATS[args.format])
     return EXIT_OK
 
 

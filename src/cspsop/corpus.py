@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
+from contextlib import closing
 from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
@@ -162,9 +164,8 @@ def write_corpus(
 
 
 def read_corpus_header(path: str | Path) -> dict:
-    with _open(path, "r") as fh:
-        first = fh.readline()
-    return _parse_header(first)
+    with closing(_lines(path)) as lines:
+        return _parse_header(next(lines, (1, ""))[1])
 
 
 def _parse_header(line: str) -> dict:
@@ -181,11 +182,32 @@ def _parse_header(line: str) -> dict:
     return header
 
 
+# What stops a line from being read: a cut gzip stream (EOFError), damaged
+# compressed bytes (zlib.error, or a BadGzipFile for a bad header or CRC),
+# or bytes that are not UTF-8.
+_UNREADABLE = (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError)
+
+
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line. Lines are split on bytes and then
+    decoded, so that a line that cannot be read or decoded is a
+    CorpusFormatError that names it."""
+    path = Path(path)
+    with gzip.open(path) if path.suffix == ".gz" else open(path, "rb") as fh:
+        lineno = 1
+        try:
+            for raw in fh:
+                yield lineno, raw.decode("utf-8")
+                lineno += 1
+        except _UNREADABLE as exc:
+            raise CorpusFormatError(str(exc), line=lineno) from exc
+
+
 def _objects(path: str | Path) -> Iterator[tuple[int, object]]:
     """(line number, decoded JSON) of each record line, after the header."""
-    with _open(path, "r") as fh:
-        _parse_header(fh.readline())
-        for lineno, line in enumerate(fh, start=2):
+    with closing(_lines(path)) as lines:
+        _parse_header(next(lines, (1, ""))[1])
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue

@@ -18,19 +18,17 @@ import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from html import unescape
 from urllib import robotparser
 from urllib.parse import quote, urldefrag, urljoin, urlsplit
 
 from .origins import (
     NAIVE_SUFFIXES,
-    NoRegistrableDomainError,
     Origin,
     SuffixTable,
     UnsupportedUrlError,
+    _site,
     origin_of,
-    site_of,
 )
 from .policy import ENFORCE, Policy, extract_policies
 
@@ -420,16 +418,11 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             conn.close()
 
 
-@lru_cache(maxsize=4096)
 def _site_or_host(host: str, psl: SuffixTable | None) -> str:
     # Hosts that are themselves public suffixes (localhost, bare TLD lab
-    # setups) degrade to host identity instead of failing the crawl. A
-    # crawl asks for each link's site, so the answers are cached by (host,
-    # suffix table).
-    try:
-        return site_of(host, psl)
-    except NoRegistrableDomainError:
-        return host
+    # setups) degrade to host identity instead of failing the crawl.
+    site = _site(host, psl)
+    return host if site is None else site
 
 
 # The labels that the WHATWG Encoding Standard maps to windows-1252, as

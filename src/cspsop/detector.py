@@ -9,7 +9,7 @@ the stricter side's policy can be subverted from the weaker one.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .compare import difference_evidence
@@ -112,6 +112,9 @@ class Additive:
             mine[name] = _added(mine[name], value)
         return self
 
+    def to_dict(self) -> dict:
+        return _fields(self)
+
 
 def _added(a, b):
     if isinstance(a, dict):
@@ -120,6 +123,27 @@ def _added(a, b):
         return a
     a += b
     return a
+
+
+def _json(value):
+    """The JSON form of an output value, the one rule for every output: a
+    dataclass is an object of its fields (to_dict(), where a type defines
+    one, adds what its fields do not hold), a set is its sorted list,
+    dicts, lists and tuples convert their items, and scalars stay."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    to_dict = getattr(value, "to_dict", None)
+    return _fields(value) if to_dict is None else to_dict()
+
+
+def _fields(value) -> dict:
+    return {name: _json(item) for name, item in vars(value).items()}
 
 
 # NormalizedPolicy.key of one enforced policy text on one page origin.
@@ -207,7 +231,7 @@ class Ratio:
         return 0.0 if self.denominator == 0 else round(100.0 * self.count / self.denominator, 2)
 
     def to_dict(self) -> dict:
-        return {"count": self.count, "denominator": self.denominator, "percent": self.percent}
+        return {**_fields(self), "percent": self.percent}
 
     def __add__(self, other: Ratio) -> Ratio:
         return Ratio(self.count + other.count, self.denominator + other.denominator)
@@ -229,7 +253,7 @@ class GranularityCounts(Additive):
         return self.pages_peer_no_csp + self.pages_peer_diff_csp
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "pages_total": self.pages_total}
+        return {**_fields(self), "pages_total": self.pages_total}
 
 
 @dataclass
@@ -243,18 +267,8 @@ class PotentialViolationReport(Additive):
     verdicts: list[PageVerdicts] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "pages_with_csp": self.pages_with_csp,
-            "origins_with_csp": self.origins_with_csp,
-            "sites_with_csp": self.sites_with_csp,
-            "same_origin": self.same_origin.to_dict(),
-            "relaxed": self.relaxed.to_dict(),
-            "flagged_pages_total": Ratio(self.flagged_pages_total, self.pages_with_csp).to_dict(),
-            "verdicts": [
-                {"url": v.url, "same_origin": v.same_origin, "relaxed": v.relaxed}
-                for v in self.verdicts
-            ],
-        }
+        share = Ratio(self.flagged_pages_total, self.pages_with_csp)
+        return {**_fields(self), "flagged_pages_total": share.to_dict()}
 
     def rows(self) -> list[list[str]]:
         rows = [["statistic", "pages", "origins", "sites"]]

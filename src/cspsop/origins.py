@@ -184,6 +184,21 @@ def site_of(host: str, psl: SuffixTable | None = None) -> str:
     return table.registrable_domain(host)
 
 
+@lru_cache(maxsize=4096)
+def _site(host: str, psl: SuffixTable | None) -> str | None:
+    """site_of(host, psl), or None when the host is itself a public suffix.
+
+    A crawl asks for the site of every link, and the analysis for the sites
+    of both sides of every cross-origin couple, so the answers are cached
+    by (host, suffix table). A miss calls site_of through its module name,
+    so a wrapper around site_of sees every real lookup.
+    """
+    try:
+        return site_of(host, psl)
+    except NoRegistrableDomainError:
+        return None
+
+
 def same_origin(a: Origin, b: Origin) -> bool:
     """Triple equality of scheme, host, and port."""
     return a == b
@@ -200,11 +215,7 @@ def relaxable_to(a: Origin, b: Origin, psl: SuffixTable | None = None) -> str | 
         return None
     if a.scheme != b.scheme or a.port != b.port:
         return None
-    try:
-        site_a = site_of(a.host, psl)
-        site_b = site_of(b.host, psl)
-    except NoRegistrableDomainError:
+    site = _site(a.host, psl)
+    if site is None or site != _site(b.host, psl):
         return None
-    if site_a != site_b:
-        return None
-    return site_a
+    return site

@@ -30,6 +30,7 @@ from .detector import (
     Additive,
     PairClassification,
     Ratio,
+    _json,
     analyzable_pages,
     classify_pair,
     peer_groups,
@@ -58,18 +59,6 @@ class AdoptionReport(Additive):
     pages_with_csp: Ratio = Ratio(0, 0)
     sites_with_csp_on_home: Ratio = Ratio(0, 0)
     sites_with_csp_some_pages: Ratio = Ratio(0, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "sites_crawled": self.sites_crawled,
-            "pages_visited": self.pages_visited,
-            "pages_with_same_site_iframes": self.pages_with_same_site_iframes,
-            "pages_with_same_origin_iframes": self.pages_with_same_origin_iframes,
-            "pages_with_so_iframe_and_csp": self.pages_with_so_iframe_and_csp,
-            "pages_with_csp": self.pages_with_csp.to_dict(),
-            "sites_with_csp_on_home": self.sites_with_csp_on_home.to_dict(),
-            "sites_with_csp_some_pages": self.sites_with_csp_some_pages.to_dict(),
-        }
 
     def rows(self) -> list[list[str]]:
         def pct(r: Ratio) -> str:
@@ -154,9 +143,6 @@ class SiteCspHistogram(Additive):
     buckets: dict[str, int] = field(default_factory=dict)
     sites_total: int = 0
 
-    def to_dict(self) -> dict:
-        return {"sites_total": self.sites_total, "buckets": dict(self.buckets)}
-
     def rows(self) -> list[list[str]]:
         out = [["bucket_percent", "sites"]]
         out += [[label, str(self.buckets.get(label, 0))] for label in BUCKET_LABELS]
@@ -219,13 +205,6 @@ class ViolationTable(Additive):
     def category_total(self, category: str) -> int:
         return sum(self.cells[category].values())
 
-    def to_dict(self) -> dict:
-        return {
-            "cells": {c: dict(r) for c, r in self.cells.items()},
-            "violations_total": {k: v.to_dict() for k, v in self.violations_total.items()},
-            "couples_excluded_unrelated": self.couples_excluded_unrelated,
-        }
-
     def rows(self) -> list[list[str]]:
         header = ["category", *RELATIONS, "total"]
         out = [header]
@@ -281,10 +260,8 @@ class DirectiveDiffHistogram(Additive):
         return {name: Ratio(count, self.pairs_total) for name, count in self.evidence.items()}
 
     def to_dict(self) -> dict:
-        return {
-            "pairs_total": self.pairs_total,
-            "directives": {name: r.to_dict() for name, r in sorted(self.fractions.items())},
-        }
+        # The evidence counts go out as their fractions.
+        return {"pairs_total": self.pairs_total, "directives": _json(self.fractions)}
 
     def rows(self) -> list[list[str]]:
         out = [["directive", "differing_pairs", "pairs_total", "percent"]]
@@ -391,9 +368,10 @@ FORMAT_CSV = "csv"
 
 
 def render(report, fmt: str = FORMAT_TEXT) -> bytes:
-    """Serialize any report object to text-table, json, or csv bytes."""
+    """Serialize a report to text-table, json or csv bytes. The json of any
+    output value, report or not, is written here: indented, keys sorted."""
     if fmt == FORMAT_JSON:
-        return (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+        return (json.dumps(_json(report), indent=2, sort_keys=True) + "\n").encode()
     rows = report.rows()
     if fmt == FORMAT_CSV:
         buffer = io.StringIO()

@@ -1,4 +1,6 @@
 import json
+import re
+import zlib
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from cspsop.cli import (
     main,
 )
 from cspsop.corpus import read_corpus, record_to_dict, write_corpus
-from helpers import make_page, make_violation_corpus
+from helpers import make_corpus, make_page, make_violation_corpus
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -242,6 +244,32 @@ class TestCrawlAndAnalyze:
         assert (failed.fetch_status, failed.origin, failed.site) == ("network-error", None, None)
         assert records["http://main.com/"].fetch_status == "ok"
 
+    def _crawl(self, tmp_path, fixture_site, seeds: bytes, out=None) -> int:
+        seeds_path = tmp_path / "seeds.txt"
+        seeds_path.write_bytes(seeds)
+        return main([
+            "crawl", "--seeds", str(seeds_path), "--out", str(out or tmp_path / "corpus.jsonl"),
+            "--politeness", "0", "--respect-robots", "false",
+            "--resolve", f"main.com=127.0.0.1:{fixture_site.port}",
+        ])
+
+    @pytest.mark.parametrize("seeds", [
+        b"\xef\xbb\xbfhttp://main.com/\n",
+        b"  # a comment\n\t#another\n\nhttp://main.com/\n",
+    ], ids=["utf8-bom", "indented-comments"])
+    def test_seeds_file_format(self, capsys, tmp_path, fixture_site, seeds):
+        fixture_site.add("/", "<p>home</p>", host="main.com")
+        assert self._crawl(tmp_path, fixture_site, seeds) == EXIT_OK
+        records = read_corpus(tmp_path / "corpus.jsonl")
+        assert [(r.url, r.fetch_status) for r in records] == [("http://main.com/", "ok")]
+
+    def test_unwritable_out_fails_before_crawling(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/", "<p>home</p>", host="main.com")
+        out = tmp_path / "no-such-dir" / "corpus.jsonl"
+        assert self._crawl(tmp_path, fixture_site, b"http://main.com/\n", out) == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert fixture_site.requests == []
+
     @pytest.mark.parametrize(
         "flag,value",
         [
@@ -373,6 +401,43 @@ class TestCrawlAndAnalyze:
         bad.write_text(content)
         assert main(["analyze", "--corpus", str(bad)]) == EXIT_IO
         assert "line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["gzip-cut-in-half", "gzip-bytes-flipped", "bytes-ff-fe"])
+    @pytest.mark.parametrize("command", ["analyze", "potential"])
+    def test_unreadable_corpus_exits_2(self, capsys, tmp_path, damage, command):
+        """A corpus whose bytes cannot be read or decoded is an I/O error
+        that names the first line it could not read, not a traceback."""
+        path, line = _damaged_corpus(tmp_path, damage)
+        assert main([command, "--corpus", str(path)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        match = re.fullmatch(r"error: line (\d+): [^\n]+\n", err)
+        assert match, err
+        if line is None:  # the damaged deflate block may hold earlier lines too
+            assert 2 <= int(match[1]) <= 121
+        else:
+            assert int(match[1]) == line
+
+
+def _damaged_corpus(tmp_path, damage: str) -> tuple[Path, int | None]:
+    """A 120-record corpus damaged in one way, and the number of the first
+    line that cannot be read, where it is known."""
+    path = tmp_path / ("bad.jsonl" if damage == "bytes-ff-fe" else "bad.jsonl.gz")
+    records = make_corpus(seed=7, sites=3, pages_per_site=40)
+    write_corpus(records, path, created="2026-01-01T00:00:00+00:00")  # fixed bytes
+    data = path.read_bytes()
+    half = len(data) // 2
+    if damage == "gzip-cut-in-half":
+        path.write_bytes(data[:half])
+        # The first line that the readable prefix does not hold whole.
+        return path, zlib.decompressobj(31).decompress(data[:half]).count(b"\n") + 1
+    if damage == "gzip-bytes-flipped":
+        path.write_bytes(data[:half] + bytes(b ^ 0xFF for b in data[half:half + 40]) + data[half + 40:])
+        return path, None
+    lines = data.split(b"\n")
+    lines[49] = lines[49].replace(b'"url":"', b'"url":"\xff\xfe', 1)
+    path.write_bytes(b"\n".join(lines))
+    return path, 50
 
 
 class TestNaiveSites:

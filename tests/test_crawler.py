@@ -3,7 +3,6 @@ import time
 import pytest
 
 from cspsop import crawler
-from cspsop.origins import NAIVE_SUFFIXES
 from cspsop.crawler import (
     DEPTH_HOME,
     DEPTH_IFRAME_HOME,
@@ -486,33 +485,3 @@ class TestResolveOverrides:
         assert [(r.url, r.fetch_status) for r in records] == [
             ("http://main.com/", STATUS_OK), ("http://main.com/a.html", STATUS_OK),
         ]
-
-
-class TestSiteCache:
-    @pytest.fixture(autouse=True)
-    def cold_cache(self):
-        crawler._site_or_host.cache_clear()
-        yield
-        crawler._site_or_host.cache_clear()
-
-    @pytest.mark.parametrize("tables", [(None, NAIVE_SUFFIXES), (NAIVE_SUFFIXES, None)])
-    def test_keyed_by_suffix_table(self, tables):
-        expected = {None: "b.co.uk", NAIVE_SUFFIXES: "co.uk"}
-        for _ in range(2):  # the second round reads the cache
-            for psl in tables:
-                assert crawler._site_or_host("a.b.co.uk", psl) == expected[psl]
-
-    def test_one_site_of_call_per_host(self, fixture_site, monkeypatch):
-        calls = []
-
-        def counted(host, psl=None):
-            calls.append(host)
-            return site_of(host, psl)
-
-        site_of = crawler.site_of
-        monkeypatch.setattr(crawler, "site_of", counted)
-        config = _build_main_site(fixture_site)
-        fixture_site.add("/two.html", '<a href="/">home</a><a href="/one.html">one</a>',
-                         host="main.com")
-        assert len(crawl_site("http://main.com/", config)) == 5
-        assert sorted(calls) == ["elsewhere.net", "main.com"]

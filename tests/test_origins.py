@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cspsop import origins
+from cspsop.crawler import CrawlConfig, crawl_site
 from cspsop.origins import (
     NAIVE_SUFFIXES,
     NoRegistrableDomainError,
@@ -16,7 +19,9 @@ from cspsop.origins import (
     same_origin,
     site_of,
 )
+from cspsop.report import violation_table
 from grammar import origin_triple
+from helpers import make_page
 from oracles import PSL_CASES
 
 
@@ -179,3 +184,55 @@ def test_seeded_pair_properties_bulk():
         b = Origin(*origin_triple(rng))
         assert relaxable_to(a, b) == relaxable_to(b, a)
         assert not (same_origin(a, b) and relaxable_to(a, b) is not None)
+
+
+class TestSiteCache:
+    """origins._site is the one cache of site_of answers, keyed by (host,
+    suffix table), for the crawler and for relaxable_to."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        origins._site.cache_clear()
+        yield
+        origins._site.cache_clear()
+
+    @pytest.fixture
+    def site_of_calls(self, monkeypatch):
+        calls = []
+
+        def counted(host, psl=None):
+            calls.append((host, psl))
+            return site_of(host, psl)
+
+        monkeypatch.setattr(origins, "site_of", counted)
+        return calls
+
+    @pytest.mark.parametrize("tables", [(None, NAIVE_SUFFIXES), (NAIVE_SUFFIXES, None)])
+    def test_keyed_by_suffix_table(self, tables):
+        expected = {None: "b.co.uk", NAIVE_SUFFIXES: "co.uk"}
+        for _ in range(2):  # the second round reads the cache
+            for psl in tables:
+                assert origins._site("a.b.co.uk", psl) == expected[psl]
+
+    def test_one_site_of_call_per_host(self, fixture_site, site_of_calls):
+        fixture_site.add("/", '<a href="/one.html">one</a><a href="http://main.com/two.html">two</a>'
+                         '<a href="http://elsewhere.net/out">out</a>', host="main.com")
+        fixture_site.add("/one.html", '<a href="/">home</a><a href="/two.html">two</a>',
+                         host="main.com")
+        fixture_site.add("/two.html", '<a href="/">home</a><a href="/one.html">one</a>',
+                         host="main.com")
+        config = CrawlConfig(politeness_delay=0.0, respect_robots=False, timeout=5.0,
+                             resolve_overrides=fixture_site.resolve_overrides("main.com"))
+        assert len(crawl_site("http://main.com/", config)) == 3
+        assert Counter(site_of_calls) == {("main.com", None): 1, ("elsewhere.net", None): 1}
+
+    def test_one_site_of_call_per_couple_host(self, site_of_calls):
+        corpus = []
+        for i in range(20):  # 40 relaxable couples between two hosts of main.com
+            corpus.append(make_page(f"http://a.main.com/{i}", iframes=[f"http://b.main.com/{i}"]))
+            corpus.append(make_page(f"http://b.main.com/{i}", iframes=[f"http://a.main.com/{i}"]))
+        for psl in (None, NAIVE_SUFFIXES):
+            assert violation_table(corpus, psl).cells["no-csp-anywhere"]["relaxable"] == 40
+        assert Counter(site_of_calls) == {
+            (host, psl): 1 for host in ("a.main.com", "b.main.com") for psl in (None, NAIVE_SUFFIXES)
+        }

@@ -208,6 +208,24 @@ def test_malformed_line_after_first_site(table, tmp_path, capsys):
     assert err.startswith("error: line 9: ")
 
 
+def test_undecodable_line_after_first_site(tmp_path):
+    records = make_corpus(seed=2, sites=3, pages_per_site=5)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(records, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[8] = lines[8].replace(b'"url":"', b'"url":"\xff\xfe', 1)  # line 9
+    path.write_bytes(b"".join(lines))
+    # The first site ends before line 8, so its group is complete without line 9.
+    first_site = [r.url for r in records if r.site == records[0].site]
+    assert first_site == [r.url for r in records[:len(first_site)]] and len(first_site) < 7
+    groups = iter_site_groups(path)
+    assert [r.url for r in next(groups)] == first_site
+    with pytest.raises(CorpusFormatError) as excinfo:
+        next(groups)
+    assert excinfo.value.line == 9
+    assert isinstance(excinfo.value.__cause__, UnicodeDecodeError)
+
+
 @pytest.mark.parametrize("table", [name for name in TABLES if name != "violations-naive"])
 def test_sorted_corpus_holds_one_site_at_a_time(table, tmp_path, monkeypatch, capsys):
     path = tmp_path / "corpus.jsonl"
