@@ -77,6 +77,13 @@ def _emit(value, out_path: str | None = None, fmt: str = report_mod.FORMAT_JSON)
         sys.stdout.flush()
 
 
+def _check_writable(out_path: str | None) -> None:
+    """Fail on an unwritable output path before any work is done; the file
+    is created if missing and left as it is otherwise."""
+    if out_path:
+        open(out_path, "ab").close()
+
+
 def _parse_resolve(entries: list[str]) -> dict[str, str]:
     overrides = {}
     for entry in entries or []:
@@ -148,7 +155,8 @@ def build_parser() -> _Parser:
     p.add_argument("--max-links", type=int)
     p.add_argument("--max-iframes", type=int)
     p.add_argument("--timeout", type=float)
-    p.add_argument("--parallel", type=int, help="sites crawled in parallel")
+    p.add_argument("--parallel", type=int,
+                   help="sites crawled at once, each in a forked worker process")
     p.add_argument("--politeness", type=float, help="seconds between requests per site")
     p.add_argument("--respect-robots", choices=["true", "false"], default=None)
     p.add_argument("--naive-sites", action="store_true", help="last-two-labels site mode")
@@ -256,7 +264,7 @@ def _cmd_crawl(args) -> int:
     config = _config_from_args(args)
     with open(args.seeds, encoding="utf-8-sig") as fh:
         seeds = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
-    open(args.out, "ab").close()  # an unwritable --out fails before the first request
+    _check_writable(args.out)  # before the first request
     records = crawl_sites(seeds, config)
     records.sort(key=lambda r: (r.site or "", r.url))
     meta = {"seeds": len(seeds), "config_hash": config.config_hash()}
@@ -293,6 +301,7 @@ def _cmd_analyze(args) -> int:
     def table(records):
         return _TABLES[args.table](records, psl)
 
+    _check_writable(args.out)  # before the corpus is read
     result = report_mod.sum_site_groups(iter_site_groups(args.corpus), table)
     if result is None:
         result = table(read_corpus(args.corpus))

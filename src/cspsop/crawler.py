@@ -12,11 +12,12 @@ import email.message
 import hashlib
 import http.client
 import ipaddress
+import itertools
 import json
 import re
+import signal
 import socket
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from html import unescape
 from urllib import robotparser
@@ -300,24 +301,40 @@ def _raw_text_end(body: str, start: int, tag: str) -> int:
         start = m.end()
 
 
+# The "scheme://authority" start of a URL: urlsplit reads a URL's host and
+# port from it alone, so every URL with the same start is on the same site.
+_AUTHORITY_PREFIX = re.compile(r"[^:/?#]*://[^/?#]*")
+
+
 def _same_site_urls(
     candidates: list[str], base: str, site: str, psl: SuffixTable | None
 ) -> list[str]:
-    """Absolute, deduplicated, fragment-free URLs that stay on the site."""
+    """Absolute, deduplicated, fragment-free URLs that stay on the site.
+
+    Each distinct URL, and each distinct scheme://authority start, is
+    tested once per call.
+    """
     out: list[str] = []
     seen: set[str] = set()
+    on_site: dict[str, bool] = {}
     for raw in candidates:
         try:
             absolute, _ = urldefrag(urljoin(base, raw.strip()))
         except ValueError:
             continue
-        try:
-            if _site_or_host(origin_of(absolute).host, psl) != site:
-                continue
-        except UnsupportedUrlError:
+        if absolute in seen:
             continue
-        if absolute not in seen:
-            seen.add(absolute)
+        seen.add(absolute)
+        match = _AUTHORITY_PREFIX.match(absolute)
+        prefix = match.group() if match else absolute
+        keep = on_site.get(prefix)
+        if keep is None:
+            try:
+                keep = _site_or_host(origin_of(prefix).host, psl) == site
+            except UnsupportedUrlError:
+                keep = False
+            on_site[prefix] = keep
+        if keep:
             out.append(absolute)
     return out
 
@@ -576,9 +593,43 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
     return records
 
 
+def _crawl_site_in_worker(seed: str, config: CrawlConfig) -> list[PageRecord]:
+    # A module-level name, so that the pool can pickle it even when
+    # crawl_site itself has been replaced by a wrapper.
+    return crawl_site(seed, config)
+
+
 def crawl_sites(seeds: list[str], config: CrawlConfig | None = None) -> list[PageRecord]:
-    """Crawl many seeds, sites in parallel, each site politely serialized."""
+    """Crawl many seeds, sites in parallel, each site politely serialized.
+
+    Sites are crawled in min(config.parallel_sites, len(seeds)) worker
+    processes, forked from this one, so that they are not held to one core
+    by the GIL; each worker holds the memory of one site's crawl. Records
+    come back in seed order. An exception raised in a worker is raised
+    here; a worker that dies, or gets SIGINT, raises BrokenProcessPool.
+    Every worker has exited when this returns. The "fork" start method is
+    Unix-only, and on Python 3.12 and later a caller that has other
+    threads running gets CPython's DeprecationWarning about fork() in a
+    multi-threaded process.
+    """
+    # Imported here, not at the top: every analysis command imports this
+    # module, and multiprocessing adds about 1 MiB to a process's peak RSS.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     config = config or CrawlConfig()
-    with ThreadPoolExecutor(max_workers=config.parallel_sites) as pool:
-        sites = pool.map(lambda seed: crawl_site(seed, config), seeds)
+    if not seeds:
+        return []
+    # fork, not spawn or forkserver: a worker that starts a new interpreter
+    # and imports the crawler again loses most of the gain. With fork, the
+    # pool starts all its workers before its own manager thread.
+    with ProcessPoolExecutor(
+        max_workers=min(config.parallel_sites, len(seeds)),
+        mp_context=multiprocessing.get_context("fork"),
+        # Ctrl-C ends a worker at once, as it would a C program; caught as
+        # KeyboardInterrupt, the worker would go on to the next seed.
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_DFL),
+    ) as pool:
+        sites = pool.map(_crawl_site_in_worker, seeds, itertools.repeat(config))
         return [record for site_records in sites for record in site_records]

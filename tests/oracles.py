@@ -5,13 +5,18 @@ separate from the library's data model, so that agreement between the two
 paths is meaningful. The normalization oracle applies the preprocessing
 rules one by one on raw tokens; the comparison oracle is naive set algebra;
 the corpus oracle recounts every table with an O(n^2) sweep over all pairs.
+The link oracle is the crawler's own earlier link filter, which did the
+same work with no shortcut.
 """
 
 from __future__ import annotations
 
 import re
 from html.parser import HTMLParser
-from urllib.parse import urlsplit
+from urllib.parse import urldefrag, urljoin, urlsplit
+
+from cspsop.crawler import _site_or_host
+from cspsop.origins import SuffixTable, UnsupportedUrlError, origin_of
 
 FALLBACK_ORDER = [
     "script-src",
@@ -426,3 +431,26 @@ def oracle_scan(body: str) -> _DocumentScan:
     scan.feed(body)
     scan.close()
     return scan
+
+
+def oracle_same_site_urls(
+    candidates: list[str], base: str, site: str, psl: SuffixTable | None
+) -> list[str]:
+    """The crawler's link filter before it tested each URL and each host
+    once per page: every candidate is resolved, parsed and sited anew."""
+    out: list[str] = []
+    seen: set[str] = set()
+    for raw in candidates:
+        try:
+            absolute, _ = urldefrag(urljoin(base, raw.strip()))
+        except ValueError:
+            continue
+        try:
+            if _site_or_host(origin_of(absolute).host, psl) != site:
+                continue
+        except UnsupportedUrlError:
+            continue
+        if absolute not in seen:
+            seen.add(absolute)
+            out.append(absolute)
+    return out

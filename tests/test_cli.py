@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cspsop import cli
 from cspsop.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -326,6 +327,19 @@ class TestCrawlAndAnalyze:
     def test_zero_politeness_is_kept(self):
         args = build_parser().parse_args(["crawl", "--seeds", "s", "--out", "o", "--politeness", "0"])
         assert _config_from_args(args).politeness_delay == 0
+
+    @pytest.mark.parametrize("argv", [["analyze", "--table", "violations"], ["potential"]])
+    def test_unwritable_out_fails_before_reading(self, capsys, tmp_path, monkeypatch, argv):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(make_violation_corpus(), corpus_path)
+        reads = []
+        monkeypatch.setattr(cli, "iter_site_groups", lambda *a: reads.append(a) or iter(()))
+        monkeypatch.setattr(cli, "read_corpus", lambda *a: reads.append(a) or [])
+        out = tmp_path / "no-such-dir" / "x.json"
+        code = main([*argv, "--corpus", str(corpus_path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert reads == []
 
     def test_analyze_adoption_json(self, capsys, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"

@@ -1,6 +1,15 @@
+import multiprocessing
+import os
+import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_same_site_urls
 
 from cspsop import crawler
 from cspsop.crawler import (
@@ -20,6 +29,7 @@ from cspsop.crawler import (
     crawl_sites,
     fetch,
 )
+from cspsop.origins import NAIVE_SUFFIXES
 
 
 def quick_config(**overrides) -> CrawlConfig:
@@ -73,6 +83,30 @@ class TestExtractLinks:
     def test_unknown_marked_section_is_a_bogus_comment(self, body):
         # html.parser raises AssertionError on both; each runs to the next ">".
         assert served(body, "http://main.com/").links_same_site == ["http://main.com/z"]
+
+
+# Pieces of hrefs whose resolution or host parsing has edge cases.
+HREF_PIECES = [
+    "http://", "https://", "HTTP://", "//", "mailto:", "javascript:", "http:", "main.com",
+    "sub.main.com", "other.net", "[::1]", "[", "]", "127.0.0.1", "user:pw@", "@", ":0", ":80",
+    ":8080", ":", "/", "\\", "?q=1", "#frag", "#", ".", "..", " ", "\t", "\n", "%5B", "x",
+    "é",
+]
+BASES = ["http://main.com/d/e", "https://sub.main.com:8443/", "http://[::1]:8080/a?b#c",
+         "http://localhost/"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(HREF_PIECES), max_size=8).map("".join), max_size=12),
+    st.sampled_from(BASES),
+    st.sampled_from([None, NAIVE_SUFFIXES]),
+)
+def test_same_site_urls_match_oracle(hrefs, base, psl):
+    site = crawler._site_or_host(crawler.origin_of(base).host, psl)
+    assert crawler._same_site_urls(hrefs, base, site, psl) == oracle_same_site_urls(
+        hrefs, base, site, psl
+    )
 
 
 class TestExtractIframes:
@@ -453,6 +487,92 @@ class TestCrawlSite:
             ("http://main.com/b.html", STATUS_OK),
             ("http://other.net/", STATUS_OK),
         ]
+
+
+def _build_three_sites(fixture_site) -> tuple[list[str], CrawlConfig]:
+    """main.com as in _build_main_site, plus other.net with a policy and a
+    link, and a third.org home page."""
+    config = _build_main_site(fixture_site)
+    fixture_site.add("/", '<a href="/b.html">b</a>', host="other.net",
+                     headers=[("Content-Security-Policy", "img-src 'self'")])
+    fixture_site.add("/b.html", "<p>b</p>", host="other.net")
+    fixture_site.add("/", "<p>third</p>", host="third.org")
+    config.resolve_overrides.update(fixture_site.resolve_overrides("other.net", "third.org"))
+    return ["http://main.com/", "http://other.net/", "http://third.org/"], config
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raises TimeoutError in the main thread if the block runs longer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestCrawlSites:
+    """crawl_sites runs each seed's crawl_site in a forked worker process."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []  # after every return or raise
+
+    @pytest.mark.parametrize("parallel", [1, 2, 3])
+    def test_same_records_as_one_site_at_a_time(self, fixture_site, parallel):
+        seeds, config = _build_three_sites(fixture_site)
+        config.parallel_sites = parallel
+        expected = [record for seed in seeds for record in crawl_site(seed, config)]
+        assert len(expected) == 8
+        records = crawl_sites(seeds, config)
+        assert [asdict(r) for r in records] == [asdict(r) for r in expected]
+
+    def test_no_seeds(self):
+        assert crawl_sites([], quick_config()) == []
+
+    def test_worker_exception_surfaces(self, fixture_site, monkeypatch):
+        fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n",
+                         content_type="text/plain")
+        fixture_site.add("/", "home")
+
+        def broken(self, useragent, url):
+            raise RuntimeError("bug in the robots check")
+
+        monkeypatch.setattr(crawler.robotparser.RobotFileParser, "can_fetch", broken)
+        config = quick_config(
+            respect_robots=True, parallel_sites=2,
+            resolve_overrides=fixture_site.resolve_overrides("main.com", "other.net"),
+        )
+        with _deadline(60), pytest.raises(RuntimeError, match="bug in the robots check"):
+            crawl_sites(["http://main.com/", "http://other.net/"], config)
+
+    def test_dead_worker_breaks_the_pool(self, monkeypatch):
+        def die(seed, config):
+            os._exit(1)
+
+        monkeypatch.setattr(crawler, "crawl_site", die)
+        config = quick_config(parallel_sites=2)
+        with _deadline(60), pytest.raises(BrokenProcessPool):
+            crawl_sites(["http://main.com/", "http://other.net/", "http://third.org/"], config)
+
+    def test_ctrl_c_ends_a_worker_at_once(self, monkeypatch):
+        def interrupted(seed, config):
+            try:
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(30)
+            except KeyboardInterrupt:  # the worker would go on to its next seed
+                return []
+
+        monkeypatch.setattr(crawler, "crawl_site", interrupted)
+        config = quick_config(parallel_sites=2)
+        with _deadline(20), pytest.raises(BrokenProcessPool):
+            crawl_sites(["http://main.com/", "http://other.net/", "http://third.org/"], config)
 
 
 class TestResolveOverrides:
