@@ -530,7 +530,8 @@ class TestCrawlSites:
         config.parallel_sites = parallel
         expected = [record for seed in seeds for record in crawl_site(seed, config)]
         assert len(expected) == 8
-        records = crawl_sites(seeds, config)
+        with _deadline(60):
+            records = crawl_sites(seeds, config)
         assert [asdict(r) for r in records] == [asdict(r) for r in expected]
 
     def test_no_seeds(self):
