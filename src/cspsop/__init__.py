@@ -28,8 +28,6 @@ from .origins import (
     PublicSuffixList,
     UnsupportedUrlError,
     origin_of,
-    relaxable_to,
-    same_origin,
     site_of,
 )
 from .policy import Directive, Policy, SourceExpression, extract_policies, parse_policy
@@ -77,9 +75,7 @@ __all__ = [
     "potential_violations",
     "read_corpus",
     "recommend",
-    "relaxable_to",
     "render",
-    "same_origin",
     "site_of",
     "violation_table",
     "write_corpus",

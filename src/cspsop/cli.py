@@ -31,7 +31,7 @@ from .detector import (
 )
 from .fixtures import DEFAULT_PAGE_CSP, generate_suite
 from .normalize import normalize
-from .origins import NAIVE_SUFFIXES, UnsupportedUrlError, origin_of
+from .origins import UnsupportedUrlError, origin_of
 from .policy import ENFORCE, REPORT_ONLY, parse_policy
 
 USER_AGENT_ENV = "CSPSOP_USER_AGENT"
@@ -170,10 +170,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
     p.add_argument("--table", choices=_TABLES, default="adoption")
-    p.add_argument(
-        "--naive-sites", action="store_true",
-        help="last-two-labels sites in the relaxable test of couples",
-    )
 
     p = sub.add_parser("potential", parents=[corpus_args], help="shortcut for analyze --table potential")
     p.set_defaults(table="potential")
@@ -280,27 +276,24 @@ _RENDER_FORMATS = {
 }
 
 
-# Each table over a list of records, with the suffix table of the
-# relaxable test.
+# Each table over a list of records. The functions are looked up when a
+# table runs, not when this dict is built, so a wrapper installed on their
+# modules later (bench/tracer.py) sees every call.
 _TABLES = {
-    "adoption": lambda records, psl: report_mod.adoption_stats(records),
-    "violations": lambda records, psl: report_mod.violation_table(records, psl),
-    "potential": lambda records, psl: potential_violations(records),
-    "directive-diff": lambda records, psl: report_mod.directive_diff_histogram(
-        [p.classification for p in report_mod.build_pairs(records, psl)]
+    "adoption": lambda records: report_mod.adoption_stats(records),
+    "violations": lambda records: report_mod.violation_table(records),
+    "potential": lambda records: potential_violations(records),
+    "directive-diff": lambda records: report_mod.directive_diff_histogram(
+        [p.classification for p in report_mod.build_pairs(records)]
     ),
-    "csp-per-site": lambda records, psl: report_mod.csp_per_site_distribution(records),
+    "csp-per-site": lambda records: report_mod.csp_per_site_distribution(records),
 }
 
 
 def _cmd_analyze(args) -> int:
     """Sum the table over the corpus's site groups; when the corpus is not
     site-local, read it again and run the table over all of it at once."""
-    psl = NAIVE_SUFFIXES if getattr(args, "naive_sites", False) else None
-
-    def table(records):
-        return _TABLES[args.table](records, psl)
-
+    table = _TABLES[args.table]
     _check_writable(args.out)  # before the corpus is read
     result = report_mod.sum_site_groups(iter_site_groups(args.corpus), table)
     if result is None:

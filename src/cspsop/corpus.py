@@ -163,11 +163,6 @@ def write_corpus(
     return count
 
 
-def read_corpus_header(path: str | Path) -> dict:
-    with closing(_lines(path)) as lines:
-        return _parse_header(next(lines, (1, ""))[1])
-
-
 def _parse_header(line: str) -> dict:
     try:
         header = json.loads(line)

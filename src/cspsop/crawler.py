@@ -330,7 +330,7 @@ def _same_site_urls(
         keep = on_site.get(prefix)
         if keep is None:
             try:
-                keep = _site_or_host(origin_of(prefix).host, psl) == site
+                keep = _site(origin_of(prefix).host, psl) == site
             except UnsupportedUrlError:
                 keep = False
             on_site[prefix] = keep
@@ -435,13 +435,6 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             conn.close()
 
 
-def _site_or_host(host: str, psl: SuffixTable | None) -> str:
-    # Hosts that are themselves public suffixes (localhost, bare TLD lab
-    # setups) degrade to host identity instead of failing the crawl.
-    site = _site(host, psl)
-    return host if site is None else site
-
-
 # The labels that the WHATWG Encoding Standard maps to windows-1252, as
 # browsers decode them. Python's cp1252 leaves 0x81, 0x8D, 0x8F, 0x90 and
 # 0x9D undefined, so those bytes become U+FFFD here, not the C1 controls a
@@ -475,7 +468,7 @@ def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None
     """Turn one fetch into a PageRecord, extracting policies and references."""
     try:
         origin = origin_of(result.final_url)
-        site = _site_or_host(origin.host, psl)
+        site = _site(origin.host, psl)
     except UnsupportedUrlError:
         origin, site = None, None
     record = PageRecord(
@@ -526,7 +519,7 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
         return [
             PageRecord(url=seed, final_url=seed, depth=DEPTH_HOME, fetch_status=STATUS_NETWORK_ERROR)
         ]
-    seed_site = _site_or_host(seed_origin.host, psl)
+    seed_site = _site(seed_origin.host, psl)
 
     robots = _load_robots(seed_origin, config) if config.respect_robots else None
     records: list[PageRecord] = []

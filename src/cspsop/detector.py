@@ -15,7 +15,7 @@ from functools import lru_cache
 from .compare import difference_evidence
 from .crawler import STATUS_OK, PageRecord
 from .normalize import normalize
-from .origins import Origin, SuffixTable, relaxable_to, same_origin
+from .origins import Origin
 from .policy import parse_policy
 
 RELATION_SAME_ORIGIN = "same-origin"
@@ -172,21 +172,27 @@ def _enforced_key(record: PageRecord) -> tuple:
     return tuple(sorted(_policy_key(p.raw, record.origin) for p in record.enforced_policies()))
 
 
-def _relation(parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None) -> str:
+def _peer_group(record: PageRecord) -> tuple:
+    """The (site, scheme, port) of a record with an origin: pages of one
+    group but different origins can meet by setting document.domain to
+    the site, which changes the host alone. The site is the one the crawl
+    recorded, read with the suffix table the crawl used."""
+    return (record.site, record.origin.scheme, record.origin.port)
+
+
+def _relation(parent: PageRecord, iframe: PageRecord) -> str:
     if parent.origin is None or iframe.origin is None:
         return RELATION_UNRELATED
-    if same_origin(parent.origin, iframe.origin):
+    if parent.origin == iframe.origin:
         return RELATION_SAME_ORIGIN
-    if relaxable_to(parent.origin, iframe.origin, psl) is not None:
+    if parent.site is not None and _peer_group(parent) == _peer_group(iframe):
         return RELATION_RELAXABLE
     return RELATION_UNRELATED
 
 
-def classify_pair(
-    parent: PageRecord, iframe: PageRecord, psl: SuffixTable | None = None
-) -> PairClassification:
+def classify_pair(parent: PageRecord, iframe: PageRecord) -> PairClassification:
     """Origin relation and CSP-violation category for one couple."""
-    relation = _relation(parent, iframe, psl)
+    relation = _relation(parent, iframe)
     parent_key, iframe_key = _enforced_key(parent), _enforced_key(iframe)
     if not parent_key and not iframe_key:
         return PairClassification(relation, CATEGORY_NO_CSP)
@@ -302,7 +308,7 @@ def peer_groups(corpus: list[PageRecord]) -> tuple[list, dict]:
     counts: dict[tuple, dict[Origin, Counter]] = {}
     for record in analyzable_pages(corpus):
         key = _enforced_key(record)
-        group = (record.site, record.origin.scheme, record.origin.port)
+        group = _peer_group(record)
         counts.setdefault(group, {}).setdefault(record.origin, Counter())[key] += 1
         pages.append((record, group, key))
     return pages, counts

@@ -1,9 +1,10 @@
-"""Browser origins, registrable-domain sites, and origin relaxation checks.
+"""Browser origins and registrable-domain sites.
 
 An origin is the (scheme, host, port) triple browsers use for isolation
 decisions. A site is the registrable domain (eTLD+1) of a host; two pages on
 the same site but different origins can become mutually accessible when both
-set document.domain to their shared registrable domain.
+set document.domain to their shared registrable domain. The crawler records
+each page's site; the analysis compares those recorded sites.
 """
 
 from __future__ import annotations
@@ -185,37 +186,16 @@ def site_of(host: str, psl: SuffixTable | None = None) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _site(host: str, psl: SuffixTable | None) -> str | None:
-    """site_of(host, psl), or None when the host is itself a public suffix.
+def _site(host: str, psl: SuffixTable | None) -> str:
+    """The site a crawl records for a host: site_of(host, psl), or the host
+    itself when it is a public suffix (localhost, bare-TLD lab setups), so
+    such a host is its own site instead of failing the crawl.
 
-    A crawl asks for the site of every link, and the analysis for the sites
-    of both sides of every cross-origin couple, so the answers are cached
-    by (host, suffix table). A miss calls site_of through its module name,
-    so a wrapper around site_of sees every real lookup.
+    A crawl asks for the site of every link, so the answers are cached by
+    (host, suffix table). A miss calls site_of through its module name, so
+    a wrapper around site_of sees every real lookup.
     """
     try:
         return site_of(host, psl)
     except NoRegistrableDomainError:
-        return None
-
-
-def same_origin(a: Origin, b: Origin) -> bool:
-    """Triple equality of scheme, host, and port."""
-    return a == b
-
-
-def relaxable_to(a: Origin, b: Origin, psl: SuffixTable | None = None) -> str | None:
-    """Common relaxed host if both origins can meet via document.domain.
-
-    Two distinct origins can relax to their shared registrable domain only
-    when schemes and ports are equal (document.domain changes the host
-    component alone). Returns the shared registrable domain, or None.
-    """
-    if same_origin(a, b):
-        return None
-    if a.scheme != b.scheme or a.port != b.port:
-        return None
-    site = _site(a.host, psl)
-    if site is None or site != _site(b.host, psl):
-        return None
-    return site
+        return host

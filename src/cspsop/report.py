@@ -35,7 +35,7 @@ from .detector import (
     classify_pair,
     peer_groups,
 )
-from .origins import SuffixTable, UnsupportedUrlError, origin_of
+from .origins import UnsupportedUrlError, origin_of
 
 CATEGORIES = (
     CATEGORY_ONLY_PARENT,
@@ -174,7 +174,7 @@ class ClassifiedPair:
     classification: PairClassification
 
 
-def build_pairs(corpus: list[PageRecord], psl: SuffixTable | None = None) -> list[ClassifiedPair]:
+def build_pairs(corpus: list[PageRecord]) -> list[ClassifiedPair]:
     """(parent, iframe) couples: each page joined with the records of its
     same-site iframes. Iframes missing from the corpus cannot be classified
     and are skipped.
@@ -182,7 +182,7 @@ def build_pairs(corpus: list[PageRecord], psl: SuffixTable | None = None) -> lis
     pages = analyzable_pages(corpus)
     by_url = {r.url: r for r in pages}
     return [
-        ClassifiedPair(parent, by_url[url], classify_pair(parent, by_url[url], psl))
+        ClassifiedPair(parent, by_url[url], classify_pair(parent, by_url[url]))
         for parent in pages
         for url in parent.iframes_same_site
         if url in by_url
@@ -226,8 +226,8 @@ class ViolationTable(Additive):
         return out
 
 
-def violation_table(corpus: list[PageRecord], psl: SuffixTable | None = None) -> ViolationTable:
-    pairs = build_pairs(corpus, psl)
+def violation_table(corpus: list[PageRecord]) -> ViolationTable:
+    pairs = build_pairs(corpus)
     cells = {category: {rel: 0 for rel in RELATIONS} for category in CATEGORIES}
     excluded = 0
     for pair in pairs:

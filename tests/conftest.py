@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -29,6 +28,9 @@ class FixtureSite:
         self.user_agents: list[str] = []
         self.host = "127.0.0.1"
         self.port = 0
+        # Set at teardown: a delayed response stops waiting, so its handler
+        # thread can end before the server is closed.
+        self.closing = threading.Event()
 
     def add(self, path: str, body: str = "", *, host: str | None = None,
             status: int = 200, headers: list[tuple[str, str]] | None = None,
@@ -69,7 +71,7 @@ def _make_handler(site: FixtureSite):
                 self.wfile.write(body)
                 return
             if spec["delay"]:
-                time.sleep(spec["delay"])
+                site.closing.wait(spec["delay"])
             body = spec["body"]
             if isinstance(body, str):
                 body = body.encode("utf-8")
@@ -97,18 +99,26 @@ def _serve(site: FixtureSite, server: ThreadingHTTPServer):
     try:
         yield site
     finally:
+        site.closing.set()
         server.shutdown()
         server.server_close()
+        thread.join()
 
 
-class _IPv6Server(ThreadingHTTPServer):
+class _FixtureServer(ThreadingHTTPServer):
+    # Handler threads are not daemons, so server_close() joins them: none
+    # outlives the test that started it.
+    daemon_threads = False
+
+
+class _IPv6Server(_FixtureServer):
     address_family = socket.AF_INET6
 
 
 @pytest.fixture
 def fixture_site():
     site = FixtureSite()
-    yield from _serve(site, ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(site)))
+    yield from _serve(site, _FixtureServer(("127.0.0.1", 0), _make_handler(site)))
 
 
 @pytest.fixture

@@ -15,8 +15,7 @@ import re
 from html.parser import HTMLParser
 from urllib.parse import urldefrag, urljoin, urlsplit
 
-from cspsop.crawler import _site_or_host
-from cspsop.origins import SuffixTable, UnsupportedUrlError, origin_of
+from cspsop.origins import SuffixTable, UnsupportedUrlError, _site, origin_of
 
 FALLBACK_ORDER = [
     "script-src",
@@ -446,7 +445,7 @@ def oracle_same_site_urls(
         except ValueError:
             continue
         try:
-            if _site_or_host(origin_of(absolute).host, psl) != site:
+            if _site(origin_of(absolute).host, psl) != site:
                 continue
         except UnsupportedUrlError:
             continue

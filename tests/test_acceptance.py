@@ -16,16 +16,16 @@ import pytest
 from cspsop.compare import compare
 from cspsop.corpus import CorpusFormatError, read_corpus, write_corpus
 from cspsop.crawler import CrawlConfig, build_record, crawl_site, fetch, scan_document
-from cspsop.detector import classify_pair, potential_violations, recommend
+from cspsop.detector import (
+    RELATION_SAME_ORIGIN,
+    _relation,
+    classify_pair,
+    potential_violations,
+    recommend,
+)
 from cspsop.fixtures import default_cases, generate_fixture, generate_suite, policy_allows
 from cspsop.normalize import normalize
-from cspsop.origins import (
-    NoRegistrableDomainError,
-    Origin,
-    relaxable_to,
-    same_origin,
-    site_of,
-)
+from cspsop.origins import NoRegistrableDomainError, Origin, site_of
 from cspsop.policy import parse_policy
 from cspsop.report import adoption_stats, build_pairs, directive_diff_histogram, violation_table
 from grammar import origin_triple, policy_text
@@ -156,16 +156,13 @@ def test_comparison_bruteforce_equivalence():
 def test_origin_model_properties():
     rng = random.Random(77)
     for _ in range(10_000):
-        a = Origin(*origin_triple(rng))
-        b = Origin(*origin_triple(rng))
-        c = Origin(*origin_triple(rng))
-        assert same_origin(a, a)
-        assert same_origin(a, b) == same_origin(b, a)
-        if same_origin(a, b) and same_origin(b, c):
-            assert same_origin(a, c)
-        assert relaxable_to(a, b) == relaxable_to(b, a)
-        if same_origin(a, b):
-            assert relaxable_to(a, b) is None
+        a, b, c = (Origin(*origin_triple(rng)) for _ in range(3))
+        pa, pb, pc = (make_page(f"{origin}/") for origin in (a, b, c))
+        assert _relation(pa, pa) == RELATION_SAME_ORIGIN
+        assert _relation(pa, pb) == _relation(pb, pa)
+        assert (_relation(pa, pb) == RELATION_SAME_ORIGIN) == (a == b)
+        if _relation(pa, pb) == _relation(pb, pc) == RELATION_SAME_ORIGIN:
+            assert _relation(pa, pc) == RELATION_SAME_ORIGIN
 
     assert len(PSL_CASES) >= 50
     for host, expected in PSL_CASES:

@@ -1,6 +1,7 @@
 import json
 import re
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from cspsop.cli import (
     main,
 )
 from cspsop.corpus import read_corpus, record_to_dict, write_corpus
-from helpers import make_corpus, make_page, make_violation_corpus
+from cspsop.origins import NAIVE_SUFFIXES, site_of
+from helpers import make_corpus, make_page, make_violation_corpus, record_to_oracle_page
+from oracles import oracle_violation_cells
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -455,19 +458,19 @@ def _damaged_corpus(tmp_path, damage: str) -> tuple[Path, int | None]:
 
 
 class TestNaiveSites:
-    """analyze --naive-sites reads sites as the last two host labels in the
-    relaxable test of couples only; peer tables use the recorded site."""
+    """Every table reads the site each record stored at crawl time, so a
+    corpus crawled with --naive-sites (last two host labels) is analyzed
+    with that reading; analyze has no site reading of its own."""
 
     @pytest.fixture
     def corpus_path(self, tmp_path):
+        # As crawl --naive-sites writes it: both records carry the site co.uk.
+        records = [
+            make_page("http://a.co.uk/", "default-src 'self'", iframes=["http://b.co.uk/"]),
+            make_page("http://b.co.uk/"),
+        ]
         path = tmp_path / "corpus.jsonl"
-        write_corpus(
-            [
-                make_page("http://a.co.uk/", "default-src 'self'", iframes=["http://b.co.uk/"]),
-                make_page("http://b.co.uk/"),
-            ],
-            path,
-        )
+        write_corpus([replace(r, site=site_of(r.origin.host, NAIVE_SUFFIXES)) for r in records], path)
         return str(path)
 
     @staticmethod
@@ -476,18 +479,36 @@ class TestNaiveSites:
         return json.loads(capsys.readouterr().out)
 
     def test_violations_couple_becomes_relaxable(self, capsys, corpus_path):
-        argv = ["analyze", "--corpus", corpus_path, "--table", "violations"]
-        psl = self._json(capsys, *argv)
-        naive = self._json(capsys, *argv, "--naive-sites")
-        assert sum(sum(row.values()) for row in psl["cells"].values()) == 0
-        assert psl["couples_excluded_unrelated"] == 1
-        assert sum(sum(row.values()) for row in naive["cells"].values()) == 1
-        assert naive["cells"]["only-parent-csp"]["relaxable"] == 1
-        assert naive["couples_excluded_unrelated"] == 0
+        table = self._json(capsys, "analyze", "--corpus", corpus_path, "--table", "violations")
+        assert sum(sum(row.values()) for row in table["cells"].values()) == 1
+        assert table["cells"]["only-parent-csp"]["relaxable"] == 1
+        assert table["couples_excluded_unrelated"] == 0
+
+    def test_violations_match_oracle_and_potential(self, capsys, corpus_path):
+        """violations, potential and the oracle read one relaxable rule: the
+        couple potential flags is the couple violations counts."""
+        table = self._json(capsys, "analyze", "--corpus", corpus_path, "--table", "violations")
+        counted = {
+            category: {relation: n for relation, n in row.items() if n}
+            for category, row in table["cells"].items()
+            if any(row.values())
+        }
+        pages = [record_to_oracle_page(r) for r in read_corpus(corpus_path)]
+        assert counted == oracle_violation_cells(pages)
+        potential = self._json(capsys, "potential", "--corpus", corpus_path)
+        flagged = [v["url"] for v in potential["verdicts"] if v["relaxed"] == "peer-without-csp"]
+        assert flagged == ["http://a.co.uk/"]
+        assert counted == {"only-parent-csp": {"relaxable": len(flagged)}}
 
     def test_potential_unchanged(self, capsys, corpus_path):
-        argv = ["analyze", "--corpus", corpus_path, "--table", "potential"]
-        assert self._json(capsys, *argv) == self._json(capsys, *argv, "--naive-sites")
+        potential = self._json(capsys, "analyze", "--corpus", corpus_path, "--table", "potential")
+        assert potential["relaxed"]["pages_peer_no_csp"] == 1
+        assert potential["same_origin"]["pages_total"] == 0
+
+    def test_analyze_rejects_flag(self, capsys, corpus_path):
+        argv = ["analyze", "--corpus", corpus_path, "--table", "violations", "--naive-sites"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_potential_shortcut_rejects_flag(self, capsys, corpus_path):
         assert main(["potential", "--corpus", corpus_path, "--naive-sites"]) == EXIT_USAGE

@@ -8,7 +8,6 @@ from cspsop.corpus import (
     UnsupportedSchemaError,
     iter_corpus,
     read_corpus,
-    read_corpus_header,
     record_from_dict,
     record_to_dict,
     write_corpus,
@@ -121,7 +120,7 @@ class TestHeader:
     def test_metadata_carried(self, records, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_corpus(records, path, meta={"seeds": 1, "config_hash": "abc"}, created="2026-08-10T00:00:00+00:00")
-        header = read_corpus_header(path)
+        header = json.loads(path.read_text().splitlines()[0])
         assert header["schema"] == 1
         assert header["created"] == "2026-08-10T00:00:00+00:00"
         assert header["crawl"] == {"seeds": 1, "config_hash": "abc"}

@@ -1,11 +1,13 @@
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict
 
+import conftest
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,7 +105,7 @@ BASES = ["http://main.com/d/e", "https://sub.main.com:8443/", "http://[::1]:8080
     st.sampled_from([None, NAIVE_SUFFIXES]),
 )
 def test_same_site_urls_match_oracle(hrefs, base, psl):
-    site = crawler._site_or_host(crawler.origin_of(base).host, psl)
+    site = crawler._site(crawler.origin_of(base).host, psl)
     assert crawler._same_site_urls(hrefs, base, site, psl) == oracle_same_site_urls(
         hrefs, base, site, psl
     )
@@ -201,6 +203,19 @@ class TestFetch:
         fixture_site.add("/slow", "late", delay=1.0)
         result = fetch(fixture_site.url("/slow"), quick_config(timeout=0.2))
         assert result.status == STATUS_TIMEOUT
+
+    def test_handler_threads_end_with_the_fixture(self):
+        site = conftest.FixtureSite()
+        server = conftest._FixtureServer(("127.0.0.1", 0), conftest._make_handler(site))
+        serving = conftest._serve(site, server)
+        next(serving)
+        site.add("/slow", "late", delay=5.0)
+        before = set(threading.enumerate())
+        assert fetch(site.url("/slow"), quick_config(timeout=0.2)).status == STATUS_TIMEOUT
+        handlers = set(threading.enumerate()) - before
+        assert handlers  # the handler still waits out its delay
+        serving.close()  # the fixture's teardown
+        assert [t for t in handlers if t.is_alive()] == []
 
     def test_body_cap(self, fixture_site):
         fixture_site.add("/big", "x" * 100_000)

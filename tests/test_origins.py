@@ -1,12 +1,22 @@
+import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cspsop import origins
-from cspsop.crawler import CrawlConfig, crawl_site
+from cspsop import cli, origins
+from cspsop.corpus import write_corpus
+from cspsop.crawler import CrawlConfig, PageRecord, crawl_site
+from cspsop.detector import (
+    RELATION_RELAXABLE,
+    RELATION_SAME_ORIGIN,
+    RELATION_UNRELATED,
+    _relation,
+    classify_pair,
+)
 from cspsop.origins import (
     NAIVE_SUFFIXES,
     NoRegistrableDomainError,
@@ -15,11 +25,8 @@ from cspsop.origins import (
     UnsupportedUrlError,
     default_psl,
     origin_of,
-    relaxable_to,
-    same_origin,
     site_of,
 )
-from cspsop.report import violation_table
 from grammar import origin_triple
 from helpers import make_page
 from oracles import PSL_CASES
@@ -106,52 +113,67 @@ class TestSiteOf:
         assert default_psl().rule_count > 50
 
 
+def _page(origin: Origin) -> PageRecord:
+    return make_page(f"{origin}/")
+
+
+def _relation_of(a: str, b: str) -> str:
+    return classify_pair(make_page(a), make_page(b)).relation
+
+
 class TestSameOrigin:
     def test_equal_triples(self):
-        assert same_origin(Origin("http", "main.com", 80), Origin("http", "main.com", 80))
+        assert _relation_of("http://main.com/a", "http://main.com/b") == RELATION_SAME_ORIGIN
 
     def test_scheme_differs(self):
-        assert not same_origin(Origin("http", "main.com", 80), Origin("https", "main.com", 443))
+        assert _relation_of("http://main.com/", "https://main.com/") == RELATION_UNRELATED
 
     def test_subdomain_differs(self):
-        assert not same_origin(Origin("http", "main.com", 80), Origin("http", "sub.main.com", 80))
+        assert _relation_of("http://main.com/", "http://sub.main.com/") == RELATION_RELAXABLE
 
 
 class TestRelaxableTo:
+    """Couples of distinct origins that can and cannot relax to a shared
+    site: the records' (site, scheme, port) must be equal."""
+
     def test_parent_and_subdomain(self):
-        a = Origin("http", "main.com", 80)
-        b = Origin("http", "sub.main.com", 80)
-        assert relaxable_to(a, b) == "main.com"
-        assert relaxable_to(b, a) == "main.com"
+        assert _relation_of("http://main.com/", "http://sub.main.com/") == RELATION_RELAXABLE
+        assert _relation_of("http://sub.main.com/", "http://main.com/") == RELATION_RELAXABLE
 
     def test_same_origin_not_relaxable(self):
-        a = Origin("http", "main.com", 80)
-        assert relaxable_to(a, a) is None
+        assert _relation_of("http://main.com/", "http://main.com/") == RELATION_SAME_ORIGIN
 
     def test_two_subdomains(self):
-        a = Origin("http", "a.main.com", 80)
-        b = Origin("http", "b.main.com", 80)
-        assert relaxable_to(a, b) == "main.com"
+        assert _relation_of("http://a.main.com/", "http://b.main.com/") == RELATION_RELAXABLE
 
     def test_scheme_mismatch(self):
-        a = Origin("http", "main.com", 80)
-        b = Origin("https", "sub.main.com", 80)
-        assert relaxable_to(a, b) is None
+        assert _relation_of("http://main.com/", "https://sub.main.com:80/") == RELATION_UNRELATED
 
     def test_port_mismatch(self):
-        a = Origin("http", "main.com", 80)
-        b = Origin("http", "sub.main.com", 8080)
-        assert relaxable_to(a, b) is None
+        assert _relation_of("http://main.com/", "http://sub.main.com:8080/") == RELATION_UNRELATED
 
     def test_different_sites(self):
-        a = Origin("http", "main.com", 80)
-        b = Origin("http", "other.org", 80)
-        assert relaxable_to(a, b) is None
+        assert _relation_of("http://main.com/", "http://other.org/") == RELATION_UNRELATED
 
     def test_public_suffix_host_never_relaxes(self):
-        a = Origin("http", "co.uk", 80)
-        b = Origin("http", "example.co.uk", 80)
-        assert relaxable_to(a, b) is None
+        # A public-suffix host is recorded as its own site.
+        assert make_page("http://co.uk/").site == "co.uk"
+        assert _relation_of("http://co.uk/", "http://example.co.uk/") == RELATION_UNRELATED
+
+    def test_no_recorded_site_never_relaxes(self):
+        a = replace(make_page("http://a.main.com/"), site=None)
+        b = replace(make_page("http://b.main.com/"), site=None)
+        assert classify_pair(a, b).relation == RELATION_UNRELATED
+        assert classify_pair(a, a).relation == RELATION_SAME_ORIGIN
+
+    def test_recorded_site_decides(self):
+        # The sites a last-two-labels crawl records put a.co.uk and b.co.uk
+        # on one site; the bundled suffix table keeps them apart.
+        a, b = make_page("http://a.co.uk/"), make_page("http://b.co.uk/")
+        assert classify_pair(a, b).relation == RELATION_UNRELATED
+        a, b = (replace(r, site=site_of(r.origin.host, NAIVE_SUFFIXES)) for r in (a, b))
+        assert a.site == b.site == "co.uk"
+        assert classify_pair(a, b).relation == RELATION_RELAXABLE
 
 
 _origin_strategy = st.builds(
@@ -164,17 +186,19 @@ _origin_strategy = st.builds(
 
 @given(_origin_strategy, _origin_strategy, _origin_strategy)
 def test_same_origin_equivalence_properties(a, b, c):
-    assert same_origin(a, a)
-    assert same_origin(a, b) == same_origin(b, a)
-    if same_origin(a, b) and same_origin(b, c):
-        assert same_origin(a, c)
+    pa, pb, pc = _page(a), _page(b), _page(c)
+    assert _relation(pa, pa) == RELATION_SAME_ORIGIN
+    assert (_relation(pa, pb) == RELATION_SAME_ORIGIN) == (a == b)
+    if _relation(pa, pb) == _relation(pb, pc) == RELATION_SAME_ORIGIN:
+        assert _relation(pa, pc) == RELATION_SAME_ORIGIN
 
 
 @given(_origin_strategy, _origin_strategy)
 def test_relaxable_symmetric_and_disjoint(a, b):
-    assert relaxable_to(a, b) == relaxable_to(b, a)
-    if same_origin(a, b):
-        assert relaxable_to(a, b) is None
+    pa, pb = _page(a), _page(b)
+    assert _relation(pa, pb) == _relation(pb, pa)
+    if a == b:
+        assert _relation(pa, pb) == RELATION_SAME_ORIGIN
 
 
 def test_seeded_pair_properties_bulk():
@@ -182,13 +206,14 @@ def test_seeded_pair_properties_bulk():
     for _ in range(2000):
         a = Origin(*origin_triple(rng))
         b = Origin(*origin_triple(rng))
-        assert relaxable_to(a, b) == relaxable_to(b, a)
-        assert not (same_origin(a, b) and relaxable_to(a, b) is not None)
+        pa, pb = _page(a), _page(b)
+        assert _relation(pa, pb) == _relation(pb, pa)
+        assert (_relation(pa, pb) == RELATION_SAME_ORIGIN) == (a == b)
 
 
 class TestSiteCache:
     """origins._site is the one cache of site_of answers, keyed by (host,
-    suffix table), for the crawler and for relaxable_to."""
+    suffix table). The crawler asks it; the analysis reads recorded sites."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
@@ -226,13 +251,19 @@ class TestSiteCache:
         assert len(crawl_site("http://main.com/", config)) == 3
         assert Counter(site_of_calls) == {("main.com", None): 1, ("elsewhere.net", None): 1}
 
-    def test_one_site_of_call_per_couple_host(self, site_of_calls):
+    def test_analysis_makes_no_site_of_call(self, site_of_calls, tmp_path, capsys):
         corpus = []
         for i in range(20):  # 40 relaxable couples between two hosts of main.com
-            corpus.append(make_page(f"http://a.main.com/{i}", iframes=[f"http://b.main.com/{i}"]))
+            corpus.append(make_page(f"http://a.main.com/{i}", "default-src 'self'",
+                                    iframes=[f"http://b.main.com/{i}"]))
             corpus.append(make_page(f"http://b.main.com/{i}", iframes=[f"http://a.main.com/{i}"]))
-        for psl in (None, NAIVE_SUFFIXES):
-            assert violation_table(corpus, psl).cells["no-csp-anywhere"]["relaxable"] == 40
-        assert Counter(site_of_calls) == {
-            (host, psl): 1 for host in ("a.main.com", "b.main.com") for psl in (None, NAIVE_SUFFIXES)
-        }
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, path)
+        site_of_calls.clear()
+        for table in cli._TABLES:
+            assert cli.main(["analyze", "--corpus", str(path), "--table", table,
+                             "--format", "json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            if table == "violations":
+                assert out["cells"]["only-parent-csp"]["relaxable"] == 20
+        assert site_of_calls == []
