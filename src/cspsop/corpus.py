@@ -36,25 +36,15 @@ class UnsupportedSchemaError(CorpusFormatError):
 
 
 def record_to_dict(record: PageRecord) -> dict:
-    origin = record.origin
-    return {
-        "url": record.url,
-        "final_url": record.final_url,
-        "depth": record.depth,
-        "fetch_status": record.fetch_status,
-        "http_status": record.http_status,
-        "origin": None
-        if origin is None
-        else {"scheme": origin.scheme, "host": origin.host, "port": origin.port},
-        "site": record.site,
-        "policies": [
-            {"raw": p.raw, "disposition": p.disposition, "delivery": p.delivery}
-            for p in record.policies
-        ],
-        "links_same_site": list(record.links_same_site),
-        "iframes_same_site": list(record.iframes_same_site),
-        "srcdoc_iframes": record.srcdoc_iframes,
-    }
+    """A record's JSON object: its fields, with the origin and policies as objects."""
+    data = dict(vars(record))
+    if record.origin is not None:
+        data["origin"] = dict(vars(record.origin))
+    data["policies"] = [
+        {"raw": p.raw, "disposition": p.disposition, "delivery": p.delivery}
+        for p in record.policies
+    ]
+    return data
 
 
 def _policy_from_dict(data: dict, interned: dict[tuple[str, str, str], Policy]) -> Policy:
@@ -72,25 +62,15 @@ def _policy_from_dict(data: dict, interned: dict[tuple[str, str, str], Policy]) 
     return policy
 
 
-def _well_typed(data: dict) -> bool:
-    """Whether a record's fields have their JSON types: url, final_url,
-    depth and fetch_status strings; site a string or null; http_status an
-    integer or null; srcdoc_iframes an integer; origin null or an object
-    with string scheme and host and integer port; links and iframes lists
-    of strings. Types are compared exactly, so true is not an integer."""
-    origin = data.get("origin")
-    links, iframes = data.get("links_same_site", []), data.get("iframes_same_site", [])
-    return (
-        type(data["url"]) is str and type(data["final_url"]) is str
-        and type(data["depth"]) is str and type(data["fetch_status"]) is str
-        and type(data.get("site")) in (str, type(None))
-        and type(data.get("http_status")) in (int, type(None))
-        and type(data.get("srcdoc_iframes", 0)) is int
-        and (origin is None or (type(origin) is dict and type(origin["scheme"]) is str
-                                and type(origin["host"]) is str and type(origin["port"]) is int))
-        and type(links) is list and type(iframes) is list
-        and set(map(type, links + iframes)) <= {str}
-    )
+# The exact JSON types of each PageRecord field, so true is not an
+# integer. The fields and their defaults are PageRecord's.
+_NULL = type(None)
+_FIELD_TYPES = {
+    "url": (str,), "final_url": (str,), "depth": (str,), "fetch_status": (str,),
+    "http_status": (int, _NULL), "origin": (dict, _NULL), "site": (str, _NULL),
+    "policies": (list,), "links_same_site": (list,), "iframes_same_site": (list,),
+    "srcdoc_iframes": (int,),
+}
 
 
 def record_from_dict(
@@ -102,28 +82,31 @@ def record_from_dict(
     for it. Records read with the same map share one frozen Policy per
     distinct entry, which keeps a loaded corpus small. Nothing here or in
     the analysis parses them: normalization reads only their text.
-    A field of the wrong JSON type is a CorpusFormatError.
+    A field of the wrong JSON type is a CorpusFormatError, a missing
+    required one a TypeError; a missing optional one takes its default.
     """
     if not isinstance(data, dict):
         raise CorpusFormatError(f"record is {type(data).__name__}, not an object")
     if interned is None:
         interned = {}
-    if not _well_typed(data):
-        raise CorpusFormatError("a record field has the wrong JSON type")
-    origin = data.get("origin")
-    return PageRecord(
-        url=data["url"],
-        final_url=data["final_url"],
-        depth=data["depth"],
-        fetch_status=data["fetch_status"],
-        http_status=data.get("http_status"),
-        origin=None if origin is None else Origin(origin["scheme"], origin["host"], origin["port"]),
-        site=data.get("site"),
-        policies=[_policy_from_dict(p, interned) for p in data.get("policies", [])],
-        links_same_site=list(data.get("links_same_site", [])),
-        iframes_same_site=list(data.get("iframes_same_site", [])),
-        srcdoc_iframes=data.get("srcdoc_iframes", 0),
-    )
+    fields = {}
+    for name, types in _FIELD_TYPES.items():
+        if name in data:
+            value = fields[name] = data[name]
+            if type(value) not in types:
+                raise CorpusFormatError(f"record field {name!r} is {type(value).__name__}")
+    origin = fields.get("origin")
+    if origin is not None:
+        scheme, host, port = origin["scheme"], origin["host"], origin["port"]
+        if not (type(scheme) is str and type(host) is str and type(port) is int):
+            raise CorpusFormatError("origin scheme and host must be strings, port an integer")
+        fields["origin"] = Origin(scheme, host, port)
+    urls = fields.get("links_same_site", []) + fields.get("iframes_same_site", [])
+    if not set(map(type, urls)) <= {str}:
+        raise CorpusFormatError("links and iframes must be lists of strings")
+    if "policies" in fields:
+        fields["policies"] = [_policy_from_dict(p, interned) for p in fields["policies"]]
+    return PageRecord(**fields)
 
 
 def _open(path: str | Path, mode: str) -> IO:

@@ -512,14 +512,14 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
     config = config or CrawlConfig()
     psl = NAIVE_SUFFIXES if config.naive_sites else None
     seed, _ = urldefrag(seed)
-    try:
-        seed_origin = origin_of(seed)
-    except UnsupportedUrlError:
-        # Nothing to crawl, but the seed still gets its one failed record.
-        return [
-            PageRecord(url=seed, final_url=seed, depth=DEPTH_HOME, fetch_status=STATUS_NETWORK_ERROR)
-        ]
-    seed_site = _site(seed_origin.host, psl)
+    # The one record of a seed that is not fetched: it has no http(s)
+    # origin, or robots forbid it.
+    unfetched = build_record(
+        FetchResult(seed, seed, STATUS_NETWORK_ERROR, None, [], b""), DEPTH_HOME, psl
+    )
+    if unfetched.origin is None:
+        return [unfetched]
+    seed_origin, seed_site = unfetched.origin, unfetched.site
 
     robots = _load_robots(seed_origin, config) if config.respect_robots else None
     records: list[PageRecord] = []
@@ -558,17 +558,7 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
 
     home_records = visit_batch([seed], DEPTH_HOME)
     if not home_records:
-        # Robots forbade the seed itself; report it as an unvisited failure.
-        return [
-            PageRecord(
-                url=seed,
-                final_url=seed,
-                depth=DEPTH_HOME,
-                fetch_status=STATUS_NETWORK_ERROR,
-                origin=seed_origin,
-                site=seed_site,
-            )
-        ]
+        return [unfetched]
     home = home_records[0]
 
     def on_site(record: PageRecord) -> bool:

@@ -303,7 +303,8 @@ def page_set_diffs(
     _, counts = peer_groups(corpus)
     out = []
     for (site, _, _), origins in counts.items():
-        if not site:
+        # A page without a site has same-origin peers but no relaxed ones.
+        if site is None and relation != RELATION_SAME_ORIGIN:
             continue
         keys = sum(origins.values(), Counter())
         del keys[()]

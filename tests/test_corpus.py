@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from cspsop import policy as policy_module
 from cspsop.corpus import (
+    _FIELD_TYPES,
     CorpusFormatError,
     UnsupportedSchemaError,
     iter_corpus,
@@ -12,6 +14,7 @@ from cspsop.corpus import (
     record_to_dict,
     write_corpus,
 )
+from cspsop.crawler import PageRecord
 from cspsop.policy import ENFORCE, META_ELEMENT, parse_policy
 from helpers import make_corpus, make_page
 
@@ -183,3 +186,66 @@ class TestPolicySharing:
             distinct = {(p.raw, p.disposition, p.delivery) for p in delivered}
             assert len(distinct) < len(delivered)
             assert len({id(p) for p in delivered}) == len(distinct)
+
+
+_FIELDS = dataclasses.fields(PageRecord)
+_REQUIRED = [f.name for f in _FIELDS if f.default is f.default_factory is dataclasses.MISSING]
+_DEFAULTS = {
+    f.name: f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+    for f in _FIELDS if f.name not in _REQUIRED
+}
+
+
+def _read_edited(tmp_path, edit):
+    """Reads a two-record corpus whose second record line (line 3) has
+    been passed through edit."""
+    page = make_page("http://main.com/", "default-src 'self'", iframes=["http://main.com/b"],
+                     links=["http://main.com/c"])
+    page.srcdoc_iframes = 2
+    path = tmp_path / "corpus.jsonl"
+    write_corpus([page, page], path)
+    lines = path.read_text().splitlines()
+    data = json.loads(lines[2])
+    edit(data)
+    lines[2] = json.dumps(data)
+    path.write_text("\n".join(lines) + "\n")
+    return read_corpus(path)
+
+
+class TestRecordFields:
+    """PageRecord declares the fields and their defaults; the corpus only
+    adds each field's JSON types."""
+
+    def test_field_types_name_every_field(self):
+        assert list(_FIELD_TYPES) == [f.name for f in _FIELDS]
+
+    @pytest.mark.parametrize("name, default", _DEFAULTS.items())
+    def test_omitted_field_takes_its_default(self, tmp_path, name, default):
+        loaded = _read_edited(tmp_path, lambda data: data.pop(name))
+        assert getattr(loaded[1], name) == default
+        assert getattr(loaded[0], name) != default
+
+    @pytest.mark.parametrize("name", _REQUIRED)
+    def test_omitted_required_field_cites_line_number(self, tmp_path, name):
+        with pytest.raises(CorpusFormatError, match=name) as excinfo:
+            _read_edited(tmp_path, lambda data: data.pop(name))
+        assert excinfo.value.line == 3
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(f.name, True) for f in _FIELDS]
+        + [("url", 1), ("site", 1), ("http_status", "200"), ("srcdoc_iframes", None),
+           ("links_same_site", [1]), ("iframes_same_site", [None]), ("policies", {}),
+           ("origin", {"scheme": "http", "host": "main.com", "port": "80"}),
+           ("origin", {"scheme": "http", "host": "main.com", "port": True}),
+           ("origin", {"scheme": 1, "host": "main.com", "port": 80}),
+           ("origin", {"scheme": "http", "port": 80})],
+    )
+    def test_wrong_json_type_cites_line_number(self, tmp_path, name, value):
+        with pytest.raises(CorpusFormatError) as excinfo:
+            _read_edited(tmp_path, lambda data: data.update({name: value}))
+        assert excinfo.value.line == 3
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        loaded = _read_edited(tmp_path, lambda data: data.update(body="<html>"))
+        assert loaded[0] == loaded[1]

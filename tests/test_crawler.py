@@ -415,6 +415,34 @@ class TestCrawlSite:
         assert records[0].fetch_status == STATUS_NETWORK_ERROR
         assert records[0].depth == DEPTH_HOME
 
+    @staticmethod
+    def failed_seed_fields(seed: str, origin: dict | None, site: str | None) -> dict:
+        return {
+            "url": seed, "final_url": seed, "depth": DEPTH_HOME,
+            "fetch_status": STATUS_NETWORK_ERROR, "http_status": None,
+            "origin": origin, "site": site, "policies": [],
+            "links_same_site": [], "iframes_same_site": [], "srcdoc_iframes": 0,
+        }
+
+    @pytest.mark.parametrize("naive_sites", [False, True])
+    def test_unsupported_seed_record(self, naive_sites):
+        seed = "ftp://www.shop.co.uk/"
+        records = crawl_site(seed, quick_config(naive_sites=naive_sites))
+        assert [asdict(r) for r in records] == [self.failed_seed_fields(seed, None, None)]
+
+    @pytest.mark.parametrize("naive_sites, site", [(False, "shop.co.uk"), (True, "co.uk")])
+    def test_robots_forbidden_seed_record(self, fixture_site, naive_sites, site):
+        host = "www.shop.co.uk"
+        fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /\n", host=host,
+                         content_type="text/plain")
+        config = quick_config(respect_robots=True, naive_sites=naive_sites,
+                              resolve_overrides=fixture_site.resolve_overrides(host))
+        seed = f"http://{host}/"
+        records = crawl_site(seed, config)
+        origin = {"scheme": "http", "host": host, "port": 80}
+        assert [asdict(r) for r in records] == [self.failed_seed_fields(seed, origin, site)]
+        assert fixture_site.requests == [(host, "/robots.txt")]
+
     def test_robots_respected(self, fixture_site):
         fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n", host="main.com",
                          content_type="text/plain")

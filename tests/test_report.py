@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -203,6 +204,26 @@ class TestDirectiveDiffHistogram:
         assert len(relaxed) == 2
         histogram = directive_diff_histogram(same_origin)
         assert histogram.fractions["script-src"].percent == 100.0
+
+    @pytest.mark.parametrize(
+        "urls, site, relation",
+        [
+            (("http://a.n.com/", "http://b.n.com/"), "", RELATION_RELAXABLE),
+            (("http://a.n.com/x", "http://a.n.com/y"), None, RELATION_SAME_ORIGIN),
+        ],
+        ids=["relaxed-on-empty-site", "same-origin-without-site"],
+    )
+    def test_page_set_diffs_agree_with_potential_on_falsy_sites(self, urls, site, relation):
+        # "" is a site like any other; a record without one still has
+        # same-origin peers, only no relaxed ones.
+        corpus = [
+            replace(make_page(url, csp), site=site)
+            for url, csp in zip(urls, ("script-src 'self'", "img-src 'none'"))
+        ]
+        granularity = "relaxed" if relation == RELATION_RELAXABLE else "same_origin"
+        flagged = getattr(potential_violations(corpus), granularity).pages_peer_diff_csp
+        assert flagged == 2
+        assert len(page_set_diffs(corpus, relation)) == 1
 
     @pytest.mark.parametrize("seed", [5, 13, 29])
     @pytest.mark.parametrize("relation", [RELATION_SAME_ORIGIN, RELATION_RELAXABLE])
