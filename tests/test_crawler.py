@@ -255,7 +255,77 @@ def _build_main_site(fixture_site):
     return quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com", "sub.main.com"))
 
 
+def _build_visit_order_site(fixture_site):
+    """main.com where a link repeats, a home iframe is also a link, a linked
+    page redirects off-site, robots deny one link, and linked pages have
+    iframes, one shared between them."""
+    fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n", host="main.com",
+                     content_type="text/plain")
+    fixture_site.add(
+        "/",
+        """<a href="/a.html">a</a>
+        <a href="/moved.html">m</a>
+        <a href="/private/p.html">p</a>
+        <a href="/b.html">b</a>
+        <a href="/a.html">a again</a>
+        <iframe src="/b.html"></iframe>
+        <iframe src="/fh.html"></iframe>""",
+        host="main.com",
+    )
+    fixture_site.add("/a.html", '<a href="/deep.html">d</a><iframe src="/fa.html"></iframe>'
+                     '<iframe src="/b.html"></iframe>', host="main.com")
+    fixture_site.add("/moved.html", status=302, headers=[("Location", "http://elsewhere.net/")],
+                     host="main.com")
+    fixture_site.add("/", '<a href="/x.html">x</a><iframe src="/y.html"></iframe>',
+                     host="elsewhere.net")
+    fixture_site.add("/b.html", '<iframe src="/fa.html"></iframe><iframe src="/fb.html"></iframe>',
+                     host="main.com")
+    for path in ("/private/p.html", "/deep.html", "/fh.html", "/fa.html", "/fb.html"):
+        fixture_site.add(path, '<iframe src="/never.html"></iframe>', host="main.com")
+    return quick_config(
+        respect_robots=True,
+        resolve_overrides=fixture_site.resolve_overrides("main.com", "elsewhere.net"),
+    )
+
+
 class TestCrawlSite:
+    def test_visit_order(self, fixture_site):
+        # The seed, its links, its iframes, then each linked page's iframes
+        # in link order; every URL once, robots-denied and off-site ones
+        # never followed.
+        records = crawl_site("http://main.com/", _build_visit_order_site(fixture_site))
+        assert [(r.url, r.depth) for r in records] == [
+            ("http://main.com/", DEPTH_HOME),
+            ("http://main.com/a.html", DEPTH_LINKED),
+            ("http://main.com/moved.html", DEPTH_LINKED),
+            ("http://main.com/b.html", DEPTH_LINKED),
+            ("http://main.com/fh.html", DEPTH_IFRAME_HOME),
+            ("http://main.com/fa.html", DEPTH_IFRAME_LINKED),
+            ("http://main.com/fb.html", DEPTH_IFRAME_LINKED),
+        ]
+        assert records[2].final_url == "http://elsewhere.net/"
+        assert fixture_site.requests == [
+            ("main.com", "/robots.txt"),
+            ("main.com", "/"),
+            ("main.com", "/a.html"),
+            ("main.com", "/moved.html"),
+            ("elsewhere.net", "/"),
+            ("main.com", "/b.html"),
+            ("main.com", "/fh.html"),
+            ("main.com", "/fa.html"),
+            ("main.com", "/fb.html"),
+        ]
+
+    def test_visit_order_page_cap_cuts_the_links(self, fixture_site):
+        config = _build_visit_order_site(fixture_site)
+        config.max_pages_per_site = 3
+        records = crawl_site("http://main.com/", config)
+        assert [(r.url, r.depth) for r in records] == [
+            ("http://main.com/", DEPTH_HOME),
+            ("http://main.com/a.html", DEPTH_LINKED),
+            ("http://main.com/moved.html", DEPTH_LINKED),
+        ]
+
     def test_three_stage_crawl(self, fixture_site):
         config = _build_main_site(fixture_site)
         records = crawl_site("http://main.com/", config)
