@@ -48,6 +48,11 @@ DEFAULT_USER_AGENT = (
     "(KHTML, like Gecko) Chrome/124.0.0.0 Safari/537.36"
 )
 
+# The fixed limits of one fetch: redirects followed, and body bytes read (a
+# longer body is cut there).
+MAX_REDIRECTS = 5
+BODY_CAP = 5 * 1024 * 1024
+
 
 @dataclass
 class CrawlConfig:
@@ -58,8 +63,6 @@ class CrawlConfig:
     timeout: float = 30.0
     politeness_delay: float = 0.5
     parallel_sites: int = 4
-    max_redirects: int = 5
-    body_cap: int = 5 * 1024 * 1024
     respect_robots: bool = True
     naive_sites: bool = False
     # host -> "ADDR[:PORT]" (see _resolve_target); like curl --resolve, lets
@@ -79,7 +82,9 @@ class CrawlConfig:
             _resolve_target(target)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.__dict__, sort_keys=True, default=str)
+        """A hash of the crawl settings; resolve_overrides only route hosts."""
+        settings = {k: v for k, v in vars(self).items() if k != "resolve_overrides"}
+        blob = json.dumps(settings, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -367,14 +372,6 @@ def _resolve_target(target: str) -> tuple[str, int | None]:
     return address, int(port_text)
 
 
-def _connection_target(origin: Origin, config: CrawlConfig) -> tuple[str, int]:
-    override = config.resolve_overrides.get(origin.host)
-    if not override:
-        return origin.host, origin.port
-    address, port = _resolve_target(override)
-    return address, origin.port if port is None else port
-
-
 _REDIRECT_STATUSES = {301, 302, 303, 307, 308}
 
 # Every ASCII character, for quote(): http.client sends the request line as
@@ -383,10 +380,10 @@ _ASCII = "".join(map(chr, range(128)))
 
 
 def fetch(url: str, config: CrawlConfig) -> FetchResult:
-    """GET a URL, following up to config.max_redirects redirects.
+    """GET a URL, following up to MAX_REDIRECTS redirects.
 
     Failures are carried in the result status, never raised: crawl records
-    must exist for dead pages too. The body is truncated at config.body_cap.
+    must exist for dead pages too. The body is truncated at BODY_CAP bytes.
     """
     current, _ = urldefrag(url)
     redirects = 0
@@ -399,11 +396,18 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
         path = parts.path or "/"
         if parts.query:
             path += "?" + parts.query
-        conn_host, conn_port = _connection_target(origin, config)
         conn_cls = (
             http.client.HTTPSConnection if origin.scheme == "https" else http.client.HTTPConnection
         )
-        conn = conn_cls(conn_host, conn_port, timeout=config.timeout)
+        # Built for the origin, so that HTTPS sends and checks its host name.
+        # An override changes only the address dialled, through the
+        # _create_connection hook that http.client's connect() calls.
+        conn = conn_cls(origin.host, origin.port, timeout=config.timeout)
+        override = config.resolve_overrides.get(origin.host)
+        if override:
+            address, port = _resolve_target(override)
+            target = (address, origin.port if port is None else port)
+            conn._create_connection = lambda _, *args: socket.create_connection(target, *args)
         try:
             conn.request(
                 "GET",
@@ -417,11 +421,11 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             )
             response = conn.getresponse()
             location = response.getheader("Location")
-            if response.status in _REDIRECT_STATUSES and location and redirects < config.max_redirects:
+            if response.status in _REDIRECT_STATUSES and location and redirects < MAX_REDIRECTS:
                 redirects += 1
                 current, _ = urldefrag(urljoin(current, location))
                 continue
-            body = response.read(config.body_cap)
+            body = response.read(BODY_CAP)
             status = STATUS_OK if 200 <= response.status < 300 else STATUS_HTTP_ERROR
             return FetchResult(url, current, status, response.status, response.getheaders(), body)
         except socket.timeout:
@@ -499,6 +503,16 @@ def _load_robots(origin: Origin, config: CrawlConfig) -> robotparser.RobotFilePa
     return parser
 
 
+def _allowed(robots: robotparser.RobotFileParser | None, user_agent: str, url: str) -> bool:
+    try:
+        return robots is None or robots.can_fetch(user_agent, url)
+    except ValueError:
+        # can_fetch re-parses the unquoted URL: urllib.parse rejects,
+        # say, a %5B in the host ("Invalid IPv6 URL"), and quote() a
+        # lone surrogate. Robots cannot rule on such a URL.
+        return True
+
+
 def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]:
     """Crawl one site: seed page, its same-site links, iframes of both.
 
@@ -519,61 +533,36 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
     )
     if unfetched.origin is None:
         return [unfetched]
-    seed_origin, seed_site = unfetched.origin, unfetched.site
-
-    robots = _load_robots(seed_origin, config) if config.respect_robots else None
+    robots = _load_robots(unfetched.origin, config) if config.respect_robots else None
     records: list[PageRecord] = []
     visited: set[str] = set()
     next_allowed = 0.0
-
-    def allowed(url: str) -> bool:
-        if robots is None:
-            return True
-        try:
-            return robots.can_fetch(config.user_agent, url)
-        except ValueError:
-            # can_fetch re-parses the unquoted URL: urllib.parse rejects,
-            # say, a %5B in the host ("Invalid IPv6 URL"), and quote() a
-            # lone surrogate. Robots cannot rule on such a URL.
-            return True
-
-    def visit_batch(urls: list[str], depth: str) -> list[PageRecord]:
-        nonlocal next_allowed
-        out = []
-        for url in urls:
-            if len(visited) >= config.max_pages_per_site:
-                break
-            if url in visited or not allowed(url):
-                continue
-            wait = next_allowed - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            response = fetch(url, config)
-            next_allowed = time.monotonic() + config.politeness_delay
-            record = build_record(response, depth, psl)
-            visited.add(record.url)
-            records.append(record)
-            out.append(record)
-        return out
-
-    home_records = visit_batch([seed], DEPTH_HOME)
-    if not home_records:
-        return [unfetched]
-    home = home_records[0]
-
-    def on_site(record: PageRecord) -> bool:
-        return record.fetch_status == STATUS_OK and record.site == seed_site
-
-    linked: list[PageRecord] = []
-    if on_site(home):
-        linked = visit_batch(home.links_same_site[: config.max_links_per_page], DEPTH_LINKED)
-        visit_batch(home.iframes_same_site[: config.max_iframes_per_page], DEPTH_IFRAME_HOME)
-    for record in linked:
-        if on_site(record):
-            visit_batch(
-                record.iframes_same_site[: config.max_iframes_per_page], DEPTH_IFRAME_LINKED
-            )
-    return records
+    # The loop also visits what it appends: the seed, its links, its
+    # iframes, then each linked page's iframes in link order.
+    queue = [(seed, DEPTH_HOME)]
+    for url, depth in queue:
+        if len(visited) >= config.max_pages_per_site:
+            break
+        if url in visited or not _allowed(robots, config.user_agent, url):
+            continue
+        wait = next_allowed - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        response = fetch(url, config)
+        next_allowed = time.monotonic() + config.politeness_delay
+        record = build_record(response, depth, psl)
+        visited.add(record.url)
+        records.append(record)
+        if record.fetch_status != STATUS_OK or record.site != unfetched.site:
+            continue  # a leaf
+        iframes = record.iframes_same_site[: config.max_iframes_per_page]
+        if depth == DEPTH_HOME:
+            links = record.links_same_site[: config.max_links_per_page]
+            queue += [(link, DEPTH_LINKED) for link in links]
+            queue += [(iframe, DEPTH_IFRAME_HOME) for iframe in iframes]
+        elif depth == DEPTH_LINKED:
+            queue += [(iframe, DEPTH_IFRAME_LINKED) for iframe in iframes]
+    return records or [unfetched]  # no record: robots forbid the seed
 
 
 def _crawl_site_in_worker(seed: str, config: CrawlConfig) -> list[PageRecord]:

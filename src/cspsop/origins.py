@@ -40,10 +40,11 @@ class Origin:
             raise ValueError(f"port out of range: {self.port}")
 
     def ascii_serialization(self) -> str:
-        """scheme://host, with the port omitted when it is the scheme default."""
+        """scheme://host[:port], without a default port; an IPv6 host in brackets."""
+        host = f"[{self.host}]" if ":" in self.host else self.host
         if DEFAULT_PORTS.get(self.scheme) == self.port:
-            return f"{self.scheme}://{self.host}"
-        return f"{self.scheme}://{self.host}:{self.port}"
+            return f"{self.scheme}://{host}"
+        return f"{self.scheme}://{host}:{self.port}"
 
     def __str__(self) -> str:
         return self.ascii_serialization()

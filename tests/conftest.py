@@ -26,6 +26,7 @@ class FixtureSite:
         self.responses: dict[tuple[str | None, str], dict] = {}
         self.requests: list[tuple[str, str]] = []
         self.user_agents: list[str] = []
+        self.host_headers: list[str] = []
         self.host = "127.0.0.1"
         self.port = 0
         # Set at teardown: a delayed response stops waiting, so its handler
@@ -61,6 +62,7 @@ def _make_handler(site: FixtureSite):
             host = (self.headers.get("Host") or "").split(":")[0].lower()
             site.requests.append((host, self.path))
             site.user_agents.append(self.headers.get("User-Agent", ""))
+            site.host_headers.append(self.headers.get("Host", ""))
             spec = site.responses.get((host, self.path)) or site.responses.get((None, self.path))
             if spec is None:
                 body = b"not found"

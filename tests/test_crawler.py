@@ -1,11 +1,13 @@
 import multiprocessing
 import os
 import signal
+import ssl
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict
+from pathlib import Path
 
 import conftest
 import pytest
@@ -190,10 +192,10 @@ class TestFetch:
     def test_redirect_bound(self, fixture_site):
         for i in range(8):
             fixture_site.add(f"/hop{i}", status=302, headers=[("Location", f"/hop{i + 1}")])
-        result = fetch(fixture_site.url("/hop0"), quick_config(max_redirects=5))
+        result = fetch(fixture_site.url("/hop0"), quick_config())
         assert result.status == STATUS_HTTP_ERROR
         assert result.http_status == 302
-        assert result.final_url == fixture_site.url("/hop5")
+        assert result.final_url == fixture_site.url(f"/hop{crawler.MAX_REDIRECTS}")
 
     def test_unresolvable_host(self):
         result = fetch("http://no-such-host.invalid/", quick_config(timeout=2.0))
@@ -217,9 +219,10 @@ class TestFetch:
         serving.close()  # the fixture's teardown
         assert [t for t in handlers if t.is_alive()] == []
 
-    def test_body_cap(self, fixture_site):
+    def test_body_cap(self, fixture_site, monkeypatch):
         fixture_site.add("/big", "x" * 100_000)
-        result = fetch(fixture_site.url("/big"), quick_config(body_cap=1000))
+        monkeypatch.setattr(crawler, "BODY_CAP", 1000)
+        result = fetch(fixture_site.url("/big"), quick_config())
         assert len(result.body) == 1000
 
     def test_http_error_status(self, fixture_site):
@@ -689,6 +692,50 @@ class TestCrawlSites:
             crawl_sites(["http://main.com/", "http://other.net/", "http://third.org/"], config)
 
 
+TLS_DIR = Path(__file__).parent / "tls"
+
+
+@pytest.fixture
+def tls_site(monkeypatch):
+    r"""The fixture server behind TLS, serving the main.com certificate in
+    tests/tls, which the test CA there signed; the client trusts that CA.
+
+    Both were made once with the OpenSSL CLI (3.4 or later, for
+    -not_before), after which ca.key was deleted:
+
+        openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:P-256 -nodes \
+            -keyout ca.key -out ca.pem \
+            -not_before 20000101000000Z -not_after 21000101000000Z \
+            -subj "/CN=cspsop test CA" \
+            -addext "basicConstraints=critical,CA:TRUE" \
+            -addext "keyUsage=critical,keyCertSign,cRLSign"
+        openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:P-256 -nodes \
+            -keyout main.com.key -out main.com.pem -CA ca.pem -CAkey ca.key \
+            -not_before 20000101000000Z -not_after 21000101000000Z \
+            -subj "/CN=main.com" -addext "subjectAltName=DNS:main.com" \
+            -addext "basicConstraints=critical,CA:FALSE" \
+            -addext "keyUsage=critical,digitalSignature" \
+            -addext "extendedKeyUsage=serverAuth"
+    """
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_DIR / "main.com.pem", TLS_DIR / "main.com.key")
+    site = conftest.FixtureSite()
+    server = conftest._FixtureServer(("127.0.0.1", 0), conftest._make_handler(site))
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "ca.pem"))
+    yield from conftest._serve(site, server)
+
+
+class TestConfigHash:
+    def test_routing_is_not_hashed(self):
+        config = quick_config(resolve_overrides={"main.com": "127.0.0.1:8080"})
+        moved = quick_config(resolve_overrides={"main.com": "127.0.0.1:8081"})
+        smaller = quick_config(resolve_overrides={"main.com": "127.0.0.1:8080"},
+                               max_pages_per_site=7)
+        assert config.config_hash() == moved.config_hash()
+        assert config.config_hash() != smaller.config_hash()
+
+
 class TestResolveOverrides:
     @pytest.mark.parametrize("target,expected", [
         ("127.0.0.1:8080", ("127.0.0.1", 8080)),
@@ -697,10 +744,17 @@ class TestResolveOverrides:
         ("[::1]:65535", ("::1", 65535)),
         ("[::1]", ("::1", 80)),
     ])
-    def test_connection_target(self, target, expected):
+    def test_connection_target(self, target, expected, monkeypatch):
+        dialled = []
+
+        def refused(address, *args):
+            dialled.append(address)
+            raise ConnectionRefusedError
+
+        monkeypatch.setattr(crawler.socket, "create_connection", refused)
         config = quick_config(resolve_overrides={"main.com": target})
-        origin = crawler.origin_of("http://main.com/")
-        assert crawler._connection_target(origin, config) == expected
+        assert fetch("http://main.com/", config).status == STATUS_NETWORK_ERROR
+        assert dialled == [expected]
 
     @pytest.mark.parametrize("target", [
         "127.0.0.1:xyz", "127.0.0.1:70000", "127.0.0.1:0", "127.0.0.1:", "127.0.0.1:+80",
@@ -719,3 +773,33 @@ class TestResolveOverrides:
         assert [(r.url, r.fetch_status) for r in records] == [
             ("http://main.com/", STATUS_OK), ("http://main.com/a.html", STATUS_OK),
         ]
+
+    def test_https_sends_and_checks_the_origin_host(self, tls_site):
+        tls_site.add("/", "secure page")
+        config = quick_config(resolve_overrides=tls_site.resolve_overrides("main.com", "other.net"))
+        result = fetch(f"https://main.com:{tls_site.port}/", config)
+        assert (result.status, result.body) == (STATUS_OK, b"secure page")
+        # The certificate is still checked: it does not name other.net.
+        result = fetch(f"https://other.net:{tls_site.port}/", config)
+        assert result.status == STATUS_NETWORK_ERROR
+
+    def test_ipv6_literal_host_header_is_bracketed(self, fixture_site_v6):
+        fixture_site_v6.add("/", "v6")
+        result = fetch(f"http://[::1]:{fixture_site_v6.port}/", quick_config())
+        assert result.status == STATUS_OK
+        assert fixture_site_v6.host_headers == [f"[::1]:{fixture_site_v6.port}"]
+
+    def test_ipv6_literal_crawl_reads_robots(self, fixture_site_v6):
+        # Registered for any host: the server reads a Host header's name up
+        # to its first ":".
+        fixture_site_v6.add("/robots.txt", "User-agent: *\nDisallow: /private\n",
+                            content_type="text/plain")
+        fixture_site_v6.add("/", '<a href="/private.html">p</a><a href="/open.html">o</a>')
+        fixture_site_v6.add("/private.html", "secret")
+        fixture_site_v6.add("/open.html", "open")
+        seed = f"http://[::1]:{fixture_site_v6.port}/"
+        records = crawl_site(seed, quick_config(respect_robots=True))
+        assert [(r.url, r.fetch_status) for r in records] == [
+            (seed, STATUS_OK), (seed + "open.html", STATUS_OK),
+        ]
+        assert [path for _, path in fixture_site_v6.requests] == ["/robots.txt", "/", "/open.html"]

@@ -65,6 +65,10 @@ class TestNormalizeRules:
         result = norm("script-src 'self'", Origin("http", "main.com", 8080))
         assert result.directives["script-src"] == frozenset({"http://main.com:8080"})
 
+    def test_self_brackets_an_ipv6_origin(self):
+        result = norm("script-src 'self'", Origin("http", "::1", 8080))
+        assert result.directives["script-src"] == frozenset({"http://[::1]:8080"})
+
     def test_default_port_erased(self):
         result = norm("script-src http://a.com:80 https://b.com:443 http://c.com:8080")
         assert result.directives["script-src"] == frozenset(

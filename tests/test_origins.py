@@ -60,6 +60,15 @@ class TestOriginOf:
         assert str(Origin("https", "main.com", 443)) == "https://main.com"
         assert str(Origin("http", "main.com", 8080)) == "http://main.com:8080"
 
+    @pytest.mark.parametrize("url, serialized", [
+        ("http://[::1]:8080/x", "http://[::1]:8080"),
+        ("https://[2001:DB8::1]/", "https://[2001:db8::1]"),
+    ])
+    def test_serialization_brackets_ipv6_hosts(self, url, serialized):
+        origin = origin_of(url)
+        assert origin.ascii_serialization() == serialized
+        assert origin_of(serialized) == origin
+
     def test_port_range_validated(self):
         with pytest.raises(ValueError):
             Origin("http", "main.com", 0)
