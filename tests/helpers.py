@@ -196,3 +196,12 @@ def make_corpus(seed: int = 7, sites: int = 3, pages_per_site: int = 20) -> list
                 )
             )
     return records
+
+
+def make_shuffled_corpus() -> list[PageRecord]:
+    """The corpus of the potential, directive-diff and violations json
+    goldens: 29 different-csp couples over 10 directives. Shuffled so that
+    origins interleave: verdicts must stay in corpus order."""
+    corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
+    random.Random(1).shuffle(corpus)
+    return corpus

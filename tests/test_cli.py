@@ -18,7 +18,14 @@ from cspsop.cli import (
 )
 from cspsop.corpus import read_corpus, record_to_dict, write_corpus
 from cspsop.origins import NAIVE_SUFFIXES, site_of
-from helpers import make_corpus, make_page, make_violation_corpus, record_to_oracle_page
+from helpers import (
+    make_adoption_corpus,
+    make_corpus,
+    make_page,
+    make_shuffled_corpus,
+    make_violation_corpus,
+    record_to_oracle_page,
+)
 from oracles import oracle_violation_cells
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -169,6 +176,30 @@ def test_command_json_golden(capsys, name):
     compare's equal and differing results, and recommend's mitigations."""
     assert main(_COMMAND_GOLDENS[name]) == EXIT_OK
     assert capsys.readouterr().out.encode() == (GOLDEN_DIR / f"cli-{name}.json").read_bytes()
+
+
+# The table json goldens, each with the corpus it was written from.
+_TABLE_GOLDENS = {
+    "adoption": make_adoption_corpus,
+    "potential": make_shuffled_corpus,
+    "directive-diff": make_shuffled_corpus,
+    "violations": make_shuffled_corpus,
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLE_GOLDENS))
+def test_table_json_golden_to_out_and_stdout(capsysbinary, tmp_path, table):
+    """The json a table command streams into --out, or into stdout, is its
+    golden byte for byte."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(_TABLE_GOLDENS[table](), corpus_path)
+    argv = ["analyze", "--corpus", str(corpus_path), "--table", table, "--format", "json"]
+    golden = (GOLDEN_DIR / f"{table}.json").read_bytes()
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == golden
+    assert main(argv) == EXIT_OK
+    assert capsysbinary.readouterr().out == golden
 
 
 class TestAuditPair:

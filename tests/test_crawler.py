@@ -4,6 +4,7 @@ import signal
 import ssl
 import threading
 import time
+import urllib.robotparser
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -200,6 +201,11 @@ class TestFetch:
     def test_unresolvable_host(self):
         result = fetch("http://no-such-host.invalid/", quick_config(timeout=2.0))
         assert result.status == STATUS_NETWORK_ERROR
+
+    def test_invalid_host(self):
+        # http.client refuses a host with a space before any connection.
+        result = fetch("http://a b.main.com/", quick_config())
+        assert (result.status, result.final_url) == (STATUS_NETWORK_ERROR, "http://a b.main.com/")
 
     def test_timeout(self, fixture_site):
         fixture_site.add("/slow", "late", delay=1.0)
@@ -481,6 +487,18 @@ class TestCrawlSite:
             ("http://other.net/", STATUS_OK), ("http://other.net/b.html", STATUS_OK),
         ]
 
+    def test_invalid_host_link_is_a_failed_record(self, fixture_site):
+        fixture_site.add("/", '<a href="http://a b.main.com/x">x</a><a href="/b.html">b</a>',
+                         host="main.com")
+        fixture_site.add("/b.html", "<p>b</p>", host="main.com")
+        config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
+        records = crawl_site("http://main.com/", config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK),
+            ("http://a b.main.com/x", STATUS_NETWORK_ERROR),
+            ("http://main.com/b.html", STATUS_OK),
+        ]
+
     def test_failed_seed_single_record(self):
         config = quick_config(timeout=2.0)
         records = crawl_site("http://no-such-host.invalid/", config)
@@ -558,7 +576,7 @@ class TestCrawlSite:
         def broken(self, useragent, url):
             raise RuntimeError("bug in the robots check")
 
-        monkeypatch.setattr(crawler.robotparser.RobotFileParser, "can_fetch", broken)
+        monkeypatch.setattr(urllib.robotparser.RobotFileParser, "can_fetch", broken)
         config = quick_config(
             respect_robots=True, resolve_overrides=fixture_site.resolve_overrides("main.com")
         )
@@ -661,7 +679,7 @@ class TestCrawlSites:
         def broken(self, useragent, url):
             raise RuntimeError("bug in the robots check")
 
-        monkeypatch.setattr(crawler.robotparser.RobotFileParser, "can_fetch", broken)
+        monkeypatch.setattr(urllib.robotparser.RobotFileParser, "can_fetch", broken)
         config = quick_config(
             respect_robots=True, parallel_sites=2,
             resolve_overrides=fixture_site.resolve_overrides("main.com", "other.net"),

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -39,6 +38,7 @@ from helpers import (
     make_adoption_corpus,
     make_corpus,
     make_page,
+    make_shuffled_corpus,
     make_violation_corpus,
     oracle_evidence,
     record_to_oracle_page,
@@ -347,7 +347,7 @@ class TestRender:
     @pytest.mark.parametrize("fmt,suffix", [(FORMAT_TEXT, "txt"), (FORMAT_JSON, "json")])
     def test_potential_golden(self, fmt, suffix):
         golden = (GOLDEN_DIR / f"potential.{suffix}").read_bytes()
-        assert render(potential_violations(_shuffled_corpus()), fmt) == golden
+        assert render(potential_violations(make_shuffled_corpus()), fmt) == golden
 
     @pytest.mark.parametrize(
         "table,fmt,suffix",
@@ -362,15 +362,7 @@ class TestRender:
         # violations.json is this corpus's table; violations.txt above is
         # make_violation_corpus's.
         golden = (GOLDEN_DIR / f"{table}.{suffix}").read_bytes()
-        assert render(_SHUFFLED_TABLES[table](_shuffled_corpus()), fmt) == golden
-
-
-def _shuffled_corpus():
-    """29 different-csp couples over 10 directives. Shuffled so that
-    origins interleave: verdicts must stay in corpus order."""
-    corpus = make_corpus(seed=3, sites=4, pages_per_site=60)
-    random.Random(1).shuffle(corpus)
-    return corpus
+        assert render(_SHUFFLED_TABLES[table](make_shuffled_corpus()), fmt) == golden
 
 
 _SHUFFLED_TABLES = {
