@@ -7,8 +7,8 @@ finds an exploitable couple, so CI jobs can gate on their own sites.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import fields
 
 from . import report as report_mod
 from .compare import compare
@@ -33,8 +33,6 @@ from .fixtures import DEFAULT_PAGE_CSP, generate_suite
 from .normalize import normalize
 from .origins import UnsupportedUrlError, origin_of
 from .policy import ENFORCE, REPORT_ONLY, parse_policy
-
-USER_AGENT_ENV = "CSPSOP_USER_AGENT"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,38 +81,32 @@ def _check_writable(out_path: str | None) -> None:
         open(out_path, "ab").close()
 
 
-def _parse_resolve(entries: list[str]) -> dict[str, str]:
-    overrides = {}
-    for entry in entries or []:
+class _ResolveAction(argparse.Action):
+    """Adds each --resolve HOST=ADDR[:PORT] to a host -> target dict."""
+
+    def __call__(self, parser, namespace, entry, option_string=None):
         host, sep, target = entry.partition("=")
         if not sep or not host or not target:
             raise UsageError(f"--resolve expects HOST=ADDR[:PORT], got {entry!r}")
-        overrides[host.lower()] = target
-    return overrides
+        vars(namespace).setdefault(self.dest, {})[host.lower()] = target
+
+
+def _true_or_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def _config_from_args(args) -> CrawlConfig:
     """Crawl settings from the flags given, defaults for the rest.
 
-    CrawlConfig validates them; an out-of-range value is a usage error.
+    Each crawl flag stores into the CrawlConfig field it sets, and stores
+    nothing when it is not given. CrawlConfig validates the values; an
+    out-of-range one is a usage error.
     """
-    respect_robots = getattr(args, "respect_robots", None)
-    given = {
-        "user_agent": getattr(args, "user_agent", None) or os.environ.get(USER_AGENT_ENV) or None,
-        "timeout": getattr(args, "timeout", None),
-        "max_pages_per_site": getattr(args, "max_pages", None),
-        "max_links_per_page": getattr(args, "max_links", None),
-        "max_iframes_per_page": getattr(args, "max_iframes", None),
-        "parallel_sites": getattr(args, "parallel", None),
-        "politeness_delay": getattr(args, "politeness", None),
-        "respect_robots": None if respect_robots is None else respect_robots == "true",
-        "naive_sites": getattr(args, "naive_sites", False),
-    }
+    given = vars(args)
     try:
-        return CrawlConfig(
-            resolve_overrides=_parse_resolve(getattr(args, "resolve", None)),
-            **{name: value for name, value in given.items() if value is not None},
-        )
+        return CrawlConfig(**{f.name: given[f.name] for f in fields(CrawlConfig) if f.name in given})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -139,32 +131,35 @@ def build_parser() -> _Parser:
     p.add_argument("--b", required=True)
     p.add_argument("--origin-b", required=True)
 
-    p = sub.add_parser("audit-pair", help="fetch a parent and iframe URL and classify the couple")
+    # A crawl setting's flag stores into its CrawlConfig field, only when given.
+    fetch_args = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    fetch_args.add_argument("--resolve", action=_ResolveAction, dest="resolve_overrides",
+                            metavar="HOST=ADDR[:PORT]")
+    fetch_args.add_argument("--timeout", type=float, metavar="S")
+    fetch_args.add_argument("--user-agent", metavar="UA")
+
+    p = sub.add_parser("audit-pair", parents=[fetch_args],
+                       help="fetch a parent and iframe URL and classify the couple")
     p.add_argument("--parent", required=True)
     p.add_argument("--iframe", required=True)
-    p.add_argument("--resolve", action="append", metavar="HOST=ADDR[:PORT]")
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--user-agent")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("crawl", help="crawl seed sites and write a corpus")
+    p = sub.add_parser("crawl", parents=[fetch_args], argument_default=argparse.SUPPRESS,
+                       help="crawl seed sites and write a corpus")
     p.add_argument("--seeds", required=True, help="file with one seed URL per line")
     p.add_argument("--out", required=True, help="corpus path (.jsonl or .jsonl.gz)")
-    p.add_argument("--max-pages", type=int)
-    p.add_argument("--max-links", type=int)
-    p.add_argument("--max-iframes", type=int)
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--parallel", type=int,
+    p.add_argument("--max-pages", type=int, dest="max_pages_per_site", metavar="N")
+    p.add_argument("--parallel", type=int, dest="parallel_sites", metavar="K",
                    help="sites crawled at once, each in a forked worker process")
-    p.add_argument("--politeness", type=float, help="seconds between requests per site")
-    p.add_argument("--respect-robots", choices=["true", "false"], default=None)
+    p.add_argument("--politeness", type=float, dest="politeness_delay", metavar="S",
+                   help="seconds between requests per site")
+    p.add_argument("--respect-robots", type=_true_or_false, metavar="true|false")
     p.add_argument("--naive-sites", action="store_true", help="last-two-labels site mode")
-    p.add_argument("--resolve", action="append", metavar="HOST=ADDR[:PORT]")
-    p.add_argument("--user-agent")
 
     corpus_args = argparse.ArgumentParser(add_help=False)
     corpus_args.add_argument("--corpus", required=True)
-    corpus_args.add_argument("--format", choices=_RENDER_FORMATS, default="text")
+    formats = (report_mod.FORMAT_TEXT, report_mod.FORMAT_JSON, report_mod.FORMAT_CSV)
+    corpus_args.add_argument("--format", choices=formats, default=report_mod.FORMAT_TEXT)
     corpus_args.add_argument("--out", help="write to file instead of stdout")
 
     p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
@@ -268,13 +263,6 @@ def _cmd_crawl(args) -> int:
     return EXIT_OK
 
 
-_RENDER_FORMATS = {
-    "text": report_mod.FORMAT_TEXT,
-    "json": report_mod.FORMAT_JSON,
-    "csv": report_mod.FORMAT_CSV,
-}
-
-
 # Each table over a list of records. The functions are looked up when a
 # table runs, not when this dict is built, so a wrapper installed on their
 # modules later (bench/tracer.py) sees every call.
@@ -297,7 +285,7 @@ def _cmd_analyze(args) -> int:
     result = report_mod.sum_site_groups(iter_site_groups(args.corpus), table)
     if result is None:
         result = table(read_corpus(args.corpus))
-    _emit(result, args.out, _RENDER_FORMATS[args.format])
+    _emit(result, args.out, args.format)
     return EXIT_OK
 
 

@@ -153,9 +153,10 @@ def _parse_header(line: str) -> dict:
         raise CorpusFormatError(f"bad header: {exc}", line=1) from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise CorpusFormatError("not a corpus file (missing header)", line=1)
-    if header.get("schema") != SCHEMA_VERSION:
+    schema = header.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise UnsupportedSchemaError(
-            f"unsupported schema {header.get('schema')!r}, expected {SCHEMA_VERSION}", line=1
+            f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}", line=1
         )
     return header
 

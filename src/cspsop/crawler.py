@@ -60,14 +60,16 @@ DEFAULT_USER_AGENT = (
 # longer body is cut there).
 MAX_REDIRECTS = 5
 BODY_CAP = 5 * 1024 * 1024
+# The fixed limits of one page: the first same-site links and iframes that
+# the crawl queues from it.
+MAX_LINKS_PER_PAGE = 100
+MAX_IFRAMES_PER_PAGE = 50
 
 
 @dataclass
 class CrawlConfig:
     user_agent: str = DEFAULT_USER_AGENT
     max_pages_per_site: int = 200
-    max_links_per_page: int = 100
-    max_iframes_per_page: int = 50
     timeout: float = 30.0
     politeness_delay: float = 0.5
     parallel_sites: int = 4
@@ -78,8 +80,7 @@ class CrawlConfig:
     resolve_overrides: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("max_pages_per_site", "max_links_per_page", "max_iframes_per_page",
-                     "parallel_sites"):
+        for name in ("max_pages_per_site", "parallel_sites"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not self.timeout > 0:  # also rejects NaN
@@ -440,7 +441,10 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
             location = response.getheader("Location")
             if response.status in _REDIRECT_STATUSES and location and redirects < MAX_REDIRECTS:
                 redirects += 1
-                current, _ = urldefrag(urljoin(current, location))
+                try:
+                    current, _ = urldefrag(urljoin(current, location))
+                except ValueError:  # say, "http://[::1" ("Invalid IPv6 URL")
+                    return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
                 continue
             body = response.read(BODY_CAP)
             status = STATUS_OK if 200 <= response.status < 300 else STATUS_HTTP_ERROR
@@ -576,9 +580,9 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
         records.append(record)
         if record.fetch_status != STATUS_OK or record.site != unfetched.site:
             continue  # a leaf
-        iframes = record.iframes_same_site[: config.max_iframes_per_page]
+        iframes = record.iframes_same_site[:MAX_IFRAMES_PER_PAGE]
         if depth == DEPTH_HOME:
-            links = record.links_same_site[: config.max_links_per_page]
+            links = record.links_same_site[:MAX_LINKS_PER_PAGE]
             queue += [(link, DEPTH_LINKED) for link in links]
             queue += [(iframe, DEPTH_IFRAME_HOME) for iframe in iframes]
         elif depth == DEPTH_LINKED:

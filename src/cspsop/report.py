@@ -364,13 +364,13 @@ def sum_site_groups(
     return total if unresolved.isdisjoint(urls) else None
 
 
-FORMAT_TEXT = "text-table"
+FORMAT_TEXT = "text"
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
 
 
 def render(report, fmt: str = FORMAT_TEXT, out: BinaryIO | None = None) -> bytes | None:
-    """Serialize a report to text-table, json or csv: into out, an open
+    """Serialize a report to a text table, json or csv: into out, an open
     binary file, or, when out is None, into the bytes returned. The json of
     any output value, report or not, is written here: indented, keys
     sorted, and encoded into out chunk by chunk, so that the whole text is

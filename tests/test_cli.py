@@ -1,7 +1,8 @@
+import argparse
 import json
 import re
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from cspsop.cli import (
     main,
 )
 from cspsop.corpus import read_corpus, record_to_dict, write_corpus
+from cspsop.crawler import CrawlConfig
 from cspsop.origins import NAIVE_SUFFIXES, site_of
 from helpers import (
     make_adoption_corpus,
@@ -29,6 +31,7 @@ from helpers import (
 from oracles import oracle_violation_cells
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 STRICT_CSP = "default-src 'none'; script-src 'self'; child-src 'self'"
 
@@ -65,6 +68,48 @@ class TestUsage:
 
     def test_parse_needs_policy_or_file(self, capsys):
         assert main(["parse"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--max-links", "--max-iframes"])
+    def test_removed_page_cap_flags(self, capsys, tmp_path, flag):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["crawl", "--seeds", "s", "--out", str(out), flag, "1"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(command: str) -> dict[str, str]:
+    """Each option string of a subcommand but --help, with its dest."""
+    return {
+        option: action.dest
+        for action in _subcommands()[command]._actions
+        for option in action.option_strings
+        if action.dest != "help"
+    }
+
+
+@pytest.mark.parametrize("command", ["crawl", "audit-pair"])
+def test_crawl_flags_store_into_config_fields(command):
+    settings = {f.name for f in fields(CrawlConfig)}
+    others = {"--seeds", "--out", "--parent", "--iframe", "--format"}
+    dests = {flag: dest in settings for flag, dest in _flags(command).items()}
+    assert dests == {flag: flag not in others for flag in dests}
+
+
+def test_readme_synopsis_names_every_option():
+    block = README.read_text().split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    # The text from each "cspsop COMMAND" to the next, by command.
+    synopsis = dict(line.split(" ", 1) for line in re.split(r"^cspsop ", block, flags=re.M)[1:])
+    missing = {
+        command: [flag for flag in _flags(command)
+                  if not re.search(rf"{flag}(?![\w-])", synopsis.get(command, ""))]
+        for command in _subcommands()
+    }
+    assert {command: flags for command, flags in missing.items() if flags} == {}
 
 
 class TestParse:
@@ -233,12 +278,12 @@ class TestAuditPair:
         )
         assert code == EXIT_IO
 
-    def test_user_agent_env_override(self, capsys, fixture_site, monkeypatch):
-        monkeypatch.setenv("CSPSOP_USER_AGENT", "cspsop-audit/1.0")
+    def test_user_agent_flag(self, capsys, fixture_site):
         fixture_site.add("/a", "")
         fixture_site.add("/b", "")
-        main(["audit-pair", "--parent", fixture_site.url("/a"), "--iframe", fixture_site.url("/b")])
-        assert set(fixture_site.user_agents) == {"cspsop-audit/1.0"}
+        main(["audit-pair", "--parent", fixture_site.url("/a"), "--iframe", fixture_site.url("/b"),
+              "--user-agent", "cspsop-audit/1.0"])
+        assert fixture_site.user_agents == ["cspsop-audit/1.0"] * 2
 
 
 class TestCrawlAndAnalyze:
@@ -259,6 +304,20 @@ class TestCrawlAndAnalyze:
         assert code == EXIT_OK
         records = read_corpus(out)
         assert {r.url for r in records} == {"http://main.com/", "http://main.com/a.html"}
+
+    def test_crawl_user_agent_flag(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/", '<a href="/a.html">a</a>', host="main.com")
+        fixture_site.add("/a.html", "<p>leaf</p>", host="main.com")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("http://main.com/\n")
+        code = main([
+            "crawl", "--seeds", str(seeds), "--out", str(tmp_path / "corpus.jsonl"),
+            "--politeness", "0", "--user-agent", "cspsop-audit/1.0",
+            "--resolve", f"main.com=127.0.0.1:{fixture_site.port}",
+        ])
+        assert code == EXIT_OK
+        # robots.txt, the home page and its link
+        assert fixture_site.user_agents == ["cspsop-audit/1.0"] * 3
 
     def test_unsupported_seed_keeps_other_sites(self, capsys, tmp_path, fixture_site):
         fixture_site.add("/", "<p>home</p>", host="main.com")

@@ -59,6 +59,15 @@ class TestRoundTrip:
             assert "body" not in record_to_dict(record)
 
 
+def _corpus_with_schema(records, tmp_path, schema):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(records, path)
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "schema": schema})
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestErrors:
     def test_corrupted_line_cites_line_number(self, records, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -93,15 +102,14 @@ class TestErrors:
         assert excinfo.value.line == 3
 
     def test_schema_mismatch(self, records, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        write_corpus(records, path)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["schema"] = 99
-        lines[0] = json.dumps(header)
-        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(UnsupportedSchemaError):
-            read_corpus(path)
+            read_corpus(_corpus_with_schema(records, tmp_path, 99))
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_schema_is_an_exact_integer(self, records, tmp_path, schema):
+        # true == 1 and 1.0 == 1 in Python; neither is schema 1.
+        with pytest.raises(UnsupportedSchemaError):
+            read_corpus(_corpus_with_schema(records, tmp_path, schema))
 
     def test_not_a_corpus_file(self, tmp_path):
         path = tmp_path / "noise.jsonl"

@@ -225,6 +225,12 @@ class TestFetch:
         serving.close()  # the fixture's teardown
         assert [t for t in handlers if t.is_alive()] == []
 
+    def test_unparseable_redirect_location(self, fixture_site):
+        # urljoin raises ValueError ("Invalid IPv6 URL") on this Location.
+        fixture_site.add("/r", status=302, headers=[("Location", "http://[::1")])
+        result = fetch(fixture_site.url("/r"), quick_config())
+        assert (result.status, result.final_url) == (STATUS_NETWORK_ERROR, fixture_site.url("/r"))
+
     def test_body_cap(self, fixture_site, monkeypatch):
         fixture_site.add("/big", "x" * 100_000)
         monkeypatch.setattr(crawler, "BODY_CAP", 1000)
@@ -355,14 +361,14 @@ class TestCrawlSite:
         assert len(records) == 1
         assert records[0].depth == DEPTH_HOME
 
-    def test_link_cap(self, fixture_site):
+    def test_link_cap(self, fixture_site, monkeypatch):
         links = "".join(f'<a href="/p{i}.html">l</a>' for i in range(10))
         fixture_site.add("/", links, host="main.com")
         for i in range(10):
             fixture_site.add(f"/p{i}.html", '<iframe src="/deep.html"></iframe>', host="main.com")
         fixture_site.add("/deep.html", "frame target", host="main.com")
         config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
-        config.max_links_per_page = 1
+        monkeypatch.setattr(crawler, "MAX_LINKS_PER_PAGE", 1)
         records = crawl_site("http://main.com/", config)
         depths = sorted(r.depth for r in records)
         assert depths == [DEPTH_HOME, DEPTH_IFRAME_LINKED, DEPTH_LINKED]
@@ -371,6 +377,23 @@ class TestCrawlSite:
             "http://main.com/p0.html",
             "http://main.com/deep.html",
         }
+
+    def test_iframe_cap(self, fixture_site, monkeypatch):
+        # Two iframes on the home page and on its linked page; the first of each is queued.
+        frames = '<iframe src="/f{0}1.html"></iframe><iframe src="/f{0}2.html"></iframe>'
+        fixture_site.add("/", '<a href="/a.html">a</a>' + frames.format("h"), host="main.com")
+        fixture_site.add("/a.html", frames.format("a"), host="main.com")
+        for name in ("fh1", "fh2", "fa1", "fa2"):
+            fixture_site.add(f"/{name}.html", "frame", host="main.com")
+        config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
+        monkeypatch.setattr(crawler, "MAX_IFRAMES_PER_PAGE", 1)
+        records = crawl_site("http://main.com/", config)
+        assert [(r.url, r.depth) for r in records] == [
+            ("http://main.com/", DEPTH_HOME),
+            ("http://main.com/a.html", DEPTH_LINKED),
+            ("http://main.com/fh1.html", DEPTH_IFRAME_HOME),
+            ("http://main.com/fa1.html", DEPTH_IFRAME_LINKED),
+        ]
 
     def test_no_url_fetched_twice(self, fixture_site):
         fixture_site.add(
@@ -496,6 +519,19 @@ class TestCrawlSite:
         assert [(r.url, r.fetch_status) for r in records] == [
             ("http://main.com/", STATUS_OK),
             ("http://a b.main.com/x", STATUS_NETWORK_ERROR),
+            ("http://main.com/b.html", STATUS_OK),
+        ]
+
+    def test_unparseable_redirect_is_a_failed_record(self, fixture_site):
+        fixture_site.add("/", '<a href="/r.html">r</a><a href="/b.html">b</a>', host="main.com")
+        fixture_site.add("/r.html", status=302, headers=[("Location", "http://[::1")],
+                         host="main.com")
+        fixture_site.add("/b.html", "<p>b</p>", host="main.com")
+        config = quick_config(resolve_overrides=fixture_site.resolve_overrides("main.com"))
+        records = crawl_site("http://main.com/", config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK),
+            ("http://main.com/r.html", STATUS_NETWORK_ERROR),
             ("http://main.com/b.html", STATUS_OK),
         ]
 
