@@ -58,11 +58,20 @@ def _policy_json(policy) -> dict:
     }
 
 
+def _read_text(path: str, encoding: str = "utf-8") -> str:
+    """An input file's text. Bytes that do not decode are an I/O error
+    (exit 2) that names the file, as a missing file is."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+
+
 def _read_policy_arg(args) -> str:
     if args.policy is not None:
         return args.policy
-    with open(args.file, encoding="utf-8") as fh:
-        return fh.read().strip()
+    return _read_text(args.file).strip()
 
 
 def _emit(value, out_path: str | None = None, fmt: str = report_mod.FORMAT_JSON) -> None:
@@ -252,13 +261,15 @@ def _cmd_audit_pair(args) -> int:
 
 def _cmd_crawl(args) -> int:
     config = _config_from_args(args)
-    with open(args.seeds, encoding="utf-8-sig") as fh:
-        seeds = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    lines = _read_text(args.seeds, "utf-8-sig").split("\n")
+    seeds = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
     _check_writable(args.out)  # before the first request
     records = crawl_sites(seeds, config)
     records.sort(key=lambda r: (r.site or "", r.url))
-    meta = {"seeds": len(seeds), "config_hash": config.config_hash()}
-    count = write_corpus(records, args.out, meta=meta)
+    # Every setting but where the hosts were served: crawls of one world
+    # from two ports write equal headers.
+    settings = {k: v for k, v in vars(config).items() if k != "resolve_overrides"}
+    count = write_corpus(records, args.out, meta={"seeds": len(seeds), "config": settings})
     print(f"crawled {count} pages from {len(seeds)} seeds -> {args.out}", file=sys.stderr)
     return EXIT_OK
 

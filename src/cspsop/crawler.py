@@ -9,16 +9,15 @@ with arbitrary hostnames can be served from a local test server.
 from __future__ import annotations
 
 # Only code that fetches loads the network stack. http.client (and with it
-# ssl), urllib.robotparser (and with it urllib.request), email.message and
-# hashlib are imported in the functions that use them, and multiprocessing
-# in crawl_sites. Every analysis command imports this module: on Python
+# ssl), urllib.robotparser (and with it urllib.request) and email.message
+# are imported in the functions that use them, and multiprocessing in
+# crawl_sites. Every analysis command imports this module: on Python
 # 3.11, a fresh `cspsop analyze --table violations` peaked at 24.5 MiB RSS
 # with them imported here, 18.0 MiB without. The crawl's command process
 # does not load the network stack either; each pool worker does, on its
 # first fetch.
 import ipaddress
 import itertools
-import json
 import re
 import signal
 import socket
@@ -64,6 +63,12 @@ BODY_CAP = 5 * 1024 * 1024
 # the crawl queues from it.
 MAX_LINKS_PER_PAGE = 100
 MAX_IFRAMES_PER_PAGE = 50
+# The longest timeout and politeness delay, in seconds: one day. The socket
+# layer and time.sleep raise OverflowError far above it, and on infinity.
+MAX_WAIT = 24 * 60 * 60
+# What a user agent may hold: printable Latin-1. http.client encodes a
+# header value as Latin-1 and refuses a line break in it.
+_USER_AGENT = re.compile(r"[\x20-\x7e\xa0-\xff]*")
 
 
 @dataclass
@@ -83,20 +88,16 @@ class CrawlConfig:
         for name in ("max_pages_per_site", "parallel_sites"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.timeout > 0:  # also rejects NaN
-            raise ValueError("timeout must be > 0")
-        if not self.politeness_delay >= 0:
-            raise ValueError("politeness_delay must be >= 0")
+        if not 0 < self.timeout <= MAX_WAIT:  # also rejects NaN
+            raise ValueError(f"timeout must be > 0 and <= {MAX_WAIT}")
+        if not 0 <= self.politeness_delay <= MAX_WAIT:
+            raise ValueError(f"politeness_delay must be >= 0 and <= {MAX_WAIT}")
+        if not _USER_AGENT.fullmatch(self.user_agent):
+            raise ValueError(
+                f"user_agent {self.user_agent!r} holds a control character or one outside Latin-1"
+            )
         for target in self.resolve_overrides.values():
             _resolve_target(target)
-
-    def config_hash(self) -> str:
-        """A hash of the crawl settings; resolve_overrides only route hosts."""
-        import hashlib
-
-        settings = {k: v for k, v in vars(self).items() if k != "resolve_overrides"}
-        blob = json.dumps(settings, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass

@@ -136,6 +136,15 @@ class TestParse:
         assert main(["parse", "--file", str(policy_file)]) == EXIT_OK
         assert "img-src" in json.loads(capsys.readouterr().out)["directives"]
 
+    @pytest.mark.parametrize("argv", [["parse"], ["normalize", "--origin", "http://x.com"]])
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, argv):
+        policy_file = tmp_path / "policy.txt"
+        policy_file.write_bytes(b"img-src \xff\n")
+        assert main([*argv, "--file", str(policy_file)]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error: {re.escape(str(policy_file))}: [^\n]+\n", err), err
+
 
 class TestNormalize:
     def test_canonical_sets(self, capsys):
@@ -285,6 +294,14 @@ class TestAuditPair:
               "--user-agent", "cspsop-audit/1.0"])
         assert fixture_site.user_agents == ["cspsop-audit/1.0"] * 2
 
+    @pytest.mark.parametrize("user_agent", ["a\nb", "café中"])
+    def test_unsendable_user_agent_exits_1(self, capsys, user_agent):
+        code = main(["audit-pair", "--parent", "http://127.0.0.1:9/",
+                     "--iframe", "http://127.0.0.1:9/b", "--user-agent", user_agent])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: user_agent" in err and "Traceback" not in err
+
 
 class TestCrawlAndAnalyze:
     def test_crawl_writes_corpus(self, capsys, tmp_path, fixture_site):
@@ -375,6 +392,12 @@ class TestCrawlAndAnalyze:
             ("--parallel", "-1"),
             ("--politeness", "-1"),
             ("--politeness", "nan"),
+            ("--timeout", "inf"),
+            ("--timeout", "1e300"),
+            ("--politeness", "inf"),
+            ("--politeness", "86401"),
+            ("--user-agent", "a\nb"),
+            ("--user-agent", "café中"),
         ],
     )
     def test_out_of_range_limit_exits_1(self, capsys, tmp_path, flag, value):
@@ -416,6 +439,32 @@ class TestCrawlAndAnalyze:
         assert [(r.url, r.fetch_status) for r in read_corpus(out)] == [
             ("http://main.com/", "ok"), ("http://main.com/a.html", "ok"),
         ]
+
+    def test_undecodable_seeds_file_exits_2(self, capsys, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_bytes("http://main.com/\n".encode("utf-16"))  # starts \xff\xfe
+        out = tmp_path / "corpus.jsonl"
+        assert main(["crawl", "--seeds", str(seeds), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(seeds))}: [^\n]+\n", err), err
+        assert not out.exists()
+
+    def _header(self, tmp_path, port: int) -> dict:
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("")
+        out = tmp_path / f"corpus-{port}.jsonl"
+        code = main(["crawl", "--seeds", str(seeds), "--out", str(out), "--max-pages", "7",
+                     "--resolve", f"main.com=127.0.0.1:{port}"])
+        assert code == EXIT_OK
+        return json.loads(out.read_text().splitlines()[0])
+
+    def test_header_records_the_settings_but_not_routing(self, capsys, tmp_path):
+        header = self._header(tmp_path, 1)
+        settings = {f.name: f.default for f in fields(CrawlConfig) if f.name != "resolve_overrides"}
+        assert header["crawl"] == {"seeds": 0, "config": {**settings, "max_pages_per_site": 7}}
+        # Where the hosts were served is not a setting.
+        moved = self._header(tmp_path, 2)
+        assert {**moved, "created": None} == {**header, "created": None}
 
     def test_zero_politeness_is_kept(self):
         args = build_parser().parse_args(["crawl", "--seeds", "s", "--out", "o", "--politeness", "0"])

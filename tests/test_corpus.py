@@ -130,11 +130,12 @@ class TestErrors:
 class TestHeader:
     def test_metadata_carried(self, records, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_corpus(records, path, meta={"seeds": 1, "config_hash": "abc"}, created="2026-08-10T00:00:00+00:00")
+        meta = {"seeds": 1, "config": {"max_pages_per_site": 7}}
+        write_corpus(records, path, meta=meta, created="2026-08-10T00:00:00+00:00")
         header = json.loads(path.read_text().splitlines()[0])
         assert header["schema"] == 1
         assert header["created"] == "2026-08-10T00:00:00+00:00"
-        assert header["crawl"] == {"seeds": 1, "config_hash": "abc"}
+        assert header["crawl"] == meta
 
     def test_byte_reproducible_with_fixed_timestamp(self, records, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -780,14 +780,29 @@ def tls_site(monkeypatch):
     yield from conftest._serve(site, server)
 
 
-class TestConfigHash:
-    def test_routing_is_not_hashed(self):
-        config = quick_config(resolve_overrides={"main.com": "127.0.0.1:8080"})
-        moved = quick_config(resolve_overrides={"main.com": "127.0.0.1:8081"})
-        smaller = quick_config(resolve_overrides={"main.com": "127.0.0.1:8080"},
-                               max_pages_per_site=7)
-        assert config.config_hash() == moved.config_hash()
-        assert config.config_hash() != smaller.config_hash()
+class TestCrawlConfig:
+    @pytest.mark.parametrize("user_agent", ["a\nb", "a\r\n b", "a\tb", "a\x00b", "a\x7fb",
+                                            "a\x85b", "café中"])
+    def test_user_agent_outside_printable_latin1_is_rejected(self, user_agent):
+        # http.client raises ValueError on a line break and cannot encode 中.
+        with pytest.raises(ValueError, match="user_agent"):
+            quick_config(user_agent=user_agent)
+
+    def test_latin1_user_agent_is_sent(self, fixture_site):
+        fixture_site.add("/", "")
+        assert fetch(fixture_site.url("/"), quick_config(user_agent="café/1.0")).status == STATUS_OK
+        assert fixture_site.user_agents == ["café/1.0"]
+
+    @pytest.mark.parametrize("value", [float("inf"), 1e300, crawler.MAX_WAIT + 0.5])
+    @pytest.mark.parametrize("name", ["timeout", "politeness_delay"])
+    def test_wait_beyond_one_day_is_rejected(self, name, value):
+        # fetch would raise OverflowError on such a timeout, time.sleep on
+        # such a delay.
+        with pytest.raises(ValueError, match=name):
+            quick_config(**{name: value})
+
+    def test_one_day_wait_is_accepted(self):
+        quick_config(timeout=crawler.MAX_WAIT, politeness_delay=crawler.MAX_WAIT)
 
 
 class TestResolveOverrides:

@@ -64,7 +64,5 @@ def test_crawl_command_process_loads_no_network_stack(fixture_site, tmp_path):
         " '--politeness', '0', '--parallel', '1',"
         f" '--resolve', 'main.com=127.0.0.1:{fixture_site.port}']) == 0"
     )
-    # The corpus header's config hash loads hashlib, and with it _hashlib,
-    # once the crawl is over.
-    assert _loaded_after(code) == ["_hashlib"]
+    assert _loaded_after(code) == []
     assert len(out.read_text().splitlines()) == 3  # the header and two records
