@@ -9,8 +9,8 @@ browser conformance fixtures for the srcdoc sandbox corner case.
 """
 
 from .compare import ComparisonResult, compare
-from .corpus import read_corpus, write_corpus
-from .crawler import CrawlConfig, PageRecord, crawl_site, crawl_sites, fetch
+from .corpus import PageRecord, read_corpus, write_corpus
+from .crawler import CrawlConfig, crawl_site, crawl_sites, fetch
 from .detector import (
     Mitigation,
     PairClassification,

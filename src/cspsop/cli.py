@@ -9,19 +9,20 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from urllib.parse import urldefrag
 
 from . import report as report_mod
 from .compare import compare
-from .corpus import CorpusFormatError, iter_site_groups, read_corpus, write_corpus
-from .crawler import (
+from .corpus import (
     DEPTH_HOME,
     DEPTH_IFRAME_HOME,
     STATUS_OK,
-    CrawlConfig,
-    build_record,
-    crawl_sites,
-    fetch,
+    CorpusFormatError,
+    iter_site_groups,
+    read_corpus,
+    write_corpus,
 )
+from .crawler import CrawlConfig, build_record, crawl_sites, fetch
 from .detector import (
     RELATION_UNRELATED,
     PairClassification,
@@ -214,13 +215,6 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _mitigations_json(mitigations) -> list[dict]:
-    return [
-        {"kind": m.kind, "advice": m.advice, **({"snippet": m.snippet} if m.snippet else {})}
-        for m in mitigations
-    ]
-
-
 def _cmd_audit_pair(args) -> int:
     config = _config_from_args(args)
     parent = build_record(fetch(args.parent, config), DEPTH_HOME)
@@ -242,7 +236,7 @@ def _cmd_audit_pair(args) -> int:
                 "category": classification.category,
                 "evidence": classification.evidence,
                 "violation": classification.is_violation(),
-                "mitigations": _mitigations_json(mitigations),
+                "mitigations": mitigations,
             }
         )
     else:
@@ -262,7 +256,11 @@ def _cmd_audit_pair(args) -> int:
 def _cmd_crawl(args) -> int:
     config = _config_from_args(args)
     lines = _read_text(args.seeds, "utf-8-sig").split("\n")
-    seeds = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
+    # Each seed is crawled once. crawl_site drops a seed's fragment, so
+    # seeds that differ only there are one.
+    seeds = list(dict.fromkeys(
+        urldefrag(line).url for line in map(str.strip, lines) if line and not line.startswith("#")
+    ))
     _check_writable(args.out)  # before the first request
     records = crawl_sites(seeds, config)
     records.sort(key=lambda r: (r.site or "", r.url))
@@ -303,7 +301,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_recommend(args) -> int:
     mitigations = recommend(PairClassification(args.relation, args.category))
     if args.format == "json":
-        _emit(_mitigations_json(mitigations))
+        _emit(mitigations)
     else:
         if not mitigations:
             print("no mitigation needed")

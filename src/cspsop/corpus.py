@@ -1,9 +1,11 @@
-"""Newline-delimited JSON persistence for crawl records.
+"""Crawl records and their newline-delimited JSON persistence.
 
-Line 1 is a header object carrying the schema version and crawl metadata;
-every following line is one PageRecord. Bodies are never stored, only the
-extracted fields, which keeps corpora small enough to share. A .gz suffix
-selects transparent gzip compression.
+PageRecord, its vocabulary (the STATUS_* and DEPTH_* values) and its JSON
+form are declared here, so the analysis reads records without importing
+the crawler. Line 1 of a corpus is a header object carrying the schema
+version and crawl metadata; every following line is one PageRecord.
+Bodies are never stored, only the extracted fields, which keeps corpora
+small enough to share. A .gz suffix selects transparent gzip compression.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import gzip
 import json
 import zlib
 from contextlib import closing
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .crawler import PageRecord
 from .origins import Origin
-from .policy import DELIVERIES, DISPOSITIONS, Policy, parse_policy
+from .policy import DELIVERIES, DISPOSITIONS, ENFORCE, Policy, parse_policy
 
 FORMAT_NAME = "cspsop-corpus"
 SCHEMA_VERSION = 1
@@ -33,6 +35,53 @@ class CorpusFormatError(ValueError):
 
 class UnsupportedSchemaError(CorpusFormatError):
     pass
+
+
+# A record's depth: how the crawl reached the page.
+DEPTH_HOME = "home"
+DEPTH_LINKED = "linked"
+DEPTH_IFRAME_HOME = "iframe-of-home"
+DEPTH_IFRAME_LINKED = "iframe-of-linked"
+
+# A record's fetch_status.
+STATUS_OK = "ok"
+STATUS_HTTP_ERROR = "http-error"
+STATUS_NETWORK_ERROR = "network-error"
+STATUS_TIMEOUT = "timeout"
+
+
+@dataclass
+class PageRecord:
+    """One crawled page: where it lives, what it delivered, what it embeds."""
+
+    url: str
+    final_url: str
+    depth: str
+    fetch_status: str
+    http_status: int | None = None
+    origin: Origin | None = None
+    site: str | None = None
+    policies: list[Policy] = field(default_factory=list)
+    links_same_site: list[str] = field(default_factory=list)
+    iframes_same_site: list[str] = field(default_factory=list)
+    srcdoc_iframes: int = 0
+
+    def enforced_policies(self) -> list[Policy]:
+        return [p for p in self.policies if p.disposition == ENFORCE]
+
+    def has_any_csp(self) -> bool:
+        return bool(self.policies)
+
+
+# The exact JSON types of each PageRecord field, so true is not an
+# integer. The fields and their defaults are PageRecord's.
+_NULL = type(None)
+_FIELD_TYPES = {
+    "url": (str,), "final_url": (str,), "depth": (str,), "fetch_status": (str,),
+    "http_status": (int, _NULL), "origin": (dict, _NULL), "site": (str, _NULL),
+    "policies": (list,), "links_same_site": (list,), "iframes_same_site": (list,),
+    "srcdoc_iframes": (int,),
+}
 
 
 def record_to_dict(record: PageRecord) -> dict:
@@ -60,17 +109,6 @@ def _policy_from_dict(data: dict, interned: dict[tuple[str, str, str], Policy]) 
     if policy is None:
         policy = interned[key] = parse_policy(raw, disposition, delivery)
     return policy
-
-
-# The exact JSON types of each PageRecord field, so true is not an
-# integer. The fields and their defaults are PageRecord's.
-_NULL = type(None)
-_FIELD_TYPES = {
-    "url": (str,), "final_url": (str,), "depth": (str,), "fetch_status": (str,),
-    "http_status": (int, _NULL), "origin": (dict, _NULL), "site": (str, _NULL),
-    "policies": (list,), "links_same_site": (list,), "iframes_same_site": (list,),
-    "srcdoc_iframes": (int,),
-}
 
 
 def record_from_dict(

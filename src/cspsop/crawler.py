@@ -11,11 +11,12 @@ from __future__ import annotations
 # Only code that fetches loads the network stack. http.client (and with it
 # ssl), urllib.robotparser (and with it urllib.request) and email.message
 # are imported in the functions that use them, and multiprocessing in
-# crawl_sites. Every analysis command imports this module: on Python
-# 3.11, a fresh `cspsop analyze --table violations` peaked at 24.5 MiB RSS
-# with them imported here, 18.0 MiB without. The crawl's command process
-# does not load the network stack either; each pool worker does, on its
-# first fetch.
+# crawl_sites. No analysis module imports this one, but every analysis
+# command does, through cli and the package __init__: on Python 3.11, a
+# fresh `cspsop analyze --table violations` peaked at 24.5 MiB RSS with
+# them imported here, 18.0 MiB without. The crawl's command process does
+# not load the network stack either; each pool worker does, on its first
+# fetch.
 import ipaddress
 import itertools
 import re
@@ -27,6 +28,17 @@ from html import unescape
 from typing import TYPE_CHECKING
 from urllib.parse import quote, urldefrag, urljoin, urlsplit
 
+from .corpus import (
+    DEPTH_HOME,
+    DEPTH_IFRAME_HOME,
+    DEPTH_IFRAME_LINKED,
+    DEPTH_LINKED,
+    STATUS_HTTP_ERROR,
+    STATUS_NETWORK_ERROR,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    PageRecord,
+)
 from .origins import (
     NAIVE_SUFFIXES,
     Origin,
@@ -35,20 +47,10 @@ from .origins import (
     _site,
     origin_of,
 )
-from .policy import ENFORCE, Policy, extract_policies
+from .policy import extract_policies
 
 if TYPE_CHECKING:
     from urllib.robotparser import RobotFileParser
-
-DEPTH_HOME = "home"
-DEPTH_LINKED = "linked"
-DEPTH_IFRAME_HOME = "iframe-of-home"
-DEPTH_IFRAME_LINKED = "iframe-of-linked"
-
-STATUS_OK = "ok"
-STATUS_HTTP_ERROR = "http-error"
-STATUS_NETWORK_ERROR = "network-error"
-STATUS_TIMEOUT = "timeout"
 
 DEFAULT_USER_AGENT = (
     "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 "
@@ -108,29 +110,6 @@ class FetchResult:
     http_status: int | None
     headers: list[tuple[str, str]]
     body: bytes
-
-
-@dataclass
-class PageRecord:
-    """One crawled page: where it lives, what it delivered, what it embeds."""
-
-    url: str
-    final_url: str
-    depth: str
-    fetch_status: str
-    http_status: int | None = None
-    origin: Origin | None = None
-    site: str | None = None
-    policies: list[Policy] = field(default_factory=list)
-    links_same_site: list[str] = field(default_factory=list)
-    iframes_same_site: list[str] = field(default_factory=list)
-    srcdoc_iframes: int = 0
-
-    def enforced_policies(self) -> list[Policy]:
-        return [p for p in self.policies if p.disposition == ENFORCE]
-
-    def has_any_csp(self) -> bool:
-        return bool(self.policies)
 
 
 # The start-tag-end, tag-name, attribute and end-tag patterns of

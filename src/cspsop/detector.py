@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .compare import difference_evidence
-from .crawler import STATUS_OK, PageRecord
+from .corpus import STATUS_OK, PageRecord
 from .normalize import normalize
 from .origins import Origin
 from .policy import parse_policy
@@ -54,6 +54,10 @@ class Mitigation:
     kind: str  # origin-wide-csp | document-domain-freeze | sandbox-directive
     advice: str
     snippet: str | None = None
+
+    def to_dict(self) -> dict:
+        # Every field, and the snippet only when there is one.
+        return {name: value for name, value in _fields(self).items() if name != "snippet" or value}
 
 
 # First statement of a page's scripts; locks document.domain before any
@@ -242,6 +246,9 @@ class Ratio:
     def __add__(self, other: Ratio) -> Ratio:
         return Ratio(self.count + other.count, self.denominator + other.denominator)
 
+    def __str__(self) -> str:
+        return f"{self.count} ({self.percent}% of {self.denominator})"
+
 
 @dataclass
 class GranularityCounts(Additive):
@@ -289,10 +296,7 @@ class PotentialViolationReport(Additive):
             ])
             rows.append([f"{label}: total", str(counts.pages_total), "-", "-"])
         share = Ratio(self.flagged_pages_total, self.pages_with_csp)
-        rows.append([
-            "potential violations total (distinct pages)",
-            f"{share.count} ({share.percent}% of {share.denominator})", "-", "-",
-        ])
+        rows.append(["potential violations total (distinct pages)", str(share), "-", "-"])
         return rows
 
 

@@ -83,21 +83,9 @@ class PublicSuffixList:
     """
 
     def __init__(self, rules: list[str]):
-        # Indexed by rightmost label so lookups only scan a handful of rules.
-        self._rules: dict[str, list[tuple[str, ...]]] = {}
-        self._exceptions: dict[str, list[tuple[str, ...]]] = {}
-        self.rule_count = 0
-        for rule in rules:
-            rule = rule.strip().lower()
-            if not rule or rule.startswith("//"):
-                continue
-            table = self._rules
-            if rule.startswith("!"):
-                table = self._exceptions
-                rule = rule[1:]
-            labels = tuple(rule.split("."))
-            table.setdefault(labels[-1], []).append(labels)
-            self.rule_count += 1
+        stripped = (rule.strip().lower() for rule in rules)
+        self._rules = {rule for rule in stripped if rule and not rule.startswith("//")}
+        self.rule_count = len(self._rules)
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "PublicSuffixList":
@@ -110,24 +98,17 @@ class PublicSuffixList:
             text = Path(path).read_text("utf-8")
         return cls(text.splitlines())
 
-    @staticmethod
-    def _matches(rule: tuple[str, ...], labels: tuple[str, ...]) -> bool:
-        if len(rule) > len(labels):
-            return False
-        return all(r == "*" or r == l for r, l in zip(reversed(rule), reversed(labels)))
-
     def public_suffix(self, host: str) -> str:
         """Longest public suffix of host (the whole host may qualify)."""
-        labels = tuple(host.lower().rstrip(".").split("."))
-        tld = labels[-1]
-        for rule in self._exceptions.get(tld, ()):
-            if self._matches(rule, labels):
-                return ".".join(rule[1:])
-        best = 1  # unlisted TLDs behave as a "*" rule
-        for rule in self._rules.get(tld, ()):
-            if self._matches(rule, labels) and len(rule) > best:
-                best = len(rule)
-        return ".".join(labels[-best:])
+        labels = host.lower().rstrip(".").split(".")
+        suffixes = [".".join(labels[i:]) for i in range(len(labels))]  # longest first
+        for suffix in suffixes:
+            if "!" + suffix in self._rules:
+                return suffix.partition(".")[2]
+        for suffix, parent in zip(suffixes, suffixes[1:]):
+            if suffix in self._rules or "*." + parent in self._rules:
+                return suffix
+        return labels[-1]  # unlisted TLDs behave as a "*" rule
 
     def registrable_domain(self, host: str) -> str:
         """Public suffix plus one label; raises if host is itself a suffix."""

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import BinaryIO
 
 from .compare import difference_evidence
-from .crawler import DEPTH_HOME, PageRecord
+from .corpus import DEPTH_HOME, PageRecord
 from .detector import (
     CATEGORY_DIFFERENT,
     CATEGORY_NO_CSP,
@@ -62,9 +62,6 @@ class AdoptionReport(Additive):
     sites_with_csp_some_pages: Ratio = Ratio(0, 0)
 
     def rows(self) -> list[list[str]]:
-        def pct(r: Ratio) -> str:
-            return f"{r.count} ({r.percent}% of {r.denominator})"
-
         return [
             ["statistic", "value"],
             ["Sites successfully crawled", str(self.sites_crawled)],
@@ -75,9 +72,9 @@ class AdoptionReport(Additive):
                 "Pages with same-origin iframe(s) where page and/or iframe has CSP",
                 str(self.pages_with_so_iframe_and_csp),
             ],
-            ["Pages with CSP", pct(self.pages_with_csp)],
-            ["Sites with CSP on home page", pct(self.sites_with_csp_on_home)],
-            ["Sites with CSP on some pages", pct(self.sites_with_csp_some_pages)],
+            ["Pages with CSP", str(self.pages_with_csp)],
+            ["Sites with CSP on home page", str(self.sites_with_csp_on_home)],
+            ["Sites with CSP on some pages", str(self.sites_with_csp_some_pages)],
         ]
 
 

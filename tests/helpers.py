@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from cspsop.crawler import PageRecord
+from cspsop.corpus import PageRecord
 from cspsop.normalize import normalize
 from cspsop.origins import NoRegistrableDomainError, origin_of, site_of
 from cspsop.policy import ENFORCE, REPORT_ONLY, parse_policy

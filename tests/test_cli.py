@@ -374,6 +374,20 @@ class TestCrawlAndAnalyze:
         records = read_corpus(tmp_path / "corpus.jsonl")
         assert [(r.url, r.fetch_status) for r in records] == [("http://main.com/", "ok")]
 
+    def test_repeated_seed_is_crawled_once(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/", '<a href="/a.html">a</a><a href="/b.html">b</a>', host="main.com")
+        fixture_site.add("/a.html", "<p>a</p>", host="main.com")
+        fixture_site.add("/b.html", "<p>b</p>", host="main.com")
+        seeds = b"http://main.com/\nhttp://main.com/\nhttp://main.com/#top\n"
+        assert self._crawl(tmp_path, fixture_site, seeds) == EXIT_OK
+        out = tmp_path / "corpus.jsonl"
+        assert [r.url for r in read_corpus(out)] == [
+            "http://main.com/", "http://main.com/a.html", "http://main.com/b.html",
+        ]
+        assert json.loads(out.read_text().splitlines()[0])["crawl"]["seeds"] == 1
+        assert "from 1 seeds" in capsys.readouterr().err
+        assert len(fixture_site.requests) == 3
+
     def test_unwritable_out_fails_before_crawling(self, capsys, tmp_path, fixture_site):
         fixture_site.add("/", "<p>home</p>", host="main.com")
         out = tmp_path / "no-such-dir" / "corpus.jsonl"

@@ -7,6 +7,7 @@ from cspsop import policy as policy_module
 from cspsop.corpus import (
     _FIELD_TYPES,
     CorpusFormatError,
+    PageRecord,
     UnsupportedSchemaError,
     iter_corpus,
     read_corpus,
@@ -14,7 +15,6 @@ from cspsop.corpus import (
     record_to_dict,
     write_corpus,
 )
-from cspsop.crawler import PageRecord
 from cspsop.policy import ENFORCE, META_ELEMENT, parse_policy
 from helpers import make_corpus, make_page
 

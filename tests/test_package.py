@@ -1,10 +1,15 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cspsop
+import cspsop.corpus
+import cspsop.crawler
 from cspsop.corpus import write_corpus
 from helpers import make_violation_corpus
 
@@ -19,6 +24,45 @@ NETWORK_STACK = ("ssl", "http.client", "urllib.request", "email.message", "_hash
 
 def test_every_exported_name_resolves():
     assert [name for name in cspsop.__all__ if not hasattr(cspsop, name)] == []
+
+
+# The modules that read, classify and count records. They take the record
+# from corpus, and none of them needs the crawler.
+ANALYSIS_MODULES = ("corpus", "detector", "report", "compare", "normalize", "policy", "origins")
+
+
+def _imports(module: str) -> set[str]:
+    """The absolute names of the modules and module members that a cspsop
+    module's source imports."""
+    tree = ast.parse((SRC / "cspsop" / f"{module}.py").read_text("utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:  # relative; the package is flat
+                base = "cspsop" if base is None else f"cspsop.{base}"
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ANALYSIS_MODULES)
+def test_analysis_module_does_not_import_the_crawler(module):
+    crawler = [
+        name for name in _imports(module)
+        if name == "cspsop.crawler" or name.startswith("cspsop.crawler.")
+    ]
+    assert crawler == []
+
+
+def test_record_is_declared_once():
+    assert cspsop.crawler.PageRecord is cspsop.corpus.PageRecord is cspsop.PageRecord
+    assert cspsop.corpus.PageRecord.__module__ == "cspsop.corpus"
+    vocabulary = [name for name in vars(cspsop.corpus) if name.startswith(("STATUS_", "DEPTH_"))]
+    assert len(vocabulary) == 8
+    assert all(getattr(cspsop.crawler, name) is getattr(cspsop.corpus, name) for name in vocabulary)
 
 
 def _loaded_after(code: str) -> list[str]:
