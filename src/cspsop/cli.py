@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from urllib.parse import urldefrag
 
 from . import report as report_mod
 from .compare import compare
@@ -22,7 +21,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .crawler import CrawlConfig, build_record, crawl_sites, fetch
+from .crawler import CrawlConfig, _absolute, build_record, crawl_sites, fetch
 from .detector import (
     RELATION_UNRELATED,
     PairClassification,
@@ -256,10 +255,11 @@ def _cmd_audit_pair(args) -> int:
 def _cmd_crawl(args) -> int:
     config = _config_from_args(args)
     lines = _read_text(args.seeds, "utf-8-sig").split("\n")
-    # Each seed is crawled once. crawl_site drops a seed's fragment, so
-    # seeds that differ only there are one.
+    # Each seed is crawled once. crawl_site drops a seed's fragment (a seed
+    # that does not parse keeps its text), so seeds that differ only there are one.
     seeds = list(dict.fromkeys(
-        urldefrag(line).url for line in map(str.strip, lines) if line and not line.startswith("#")
+        line if (url := _absolute("", line)) is None else url
+        for line in map(str.strip, lines) if line and not line.startswith("#")
     ))
     _check_writable(args.out)  # before the first request
     records = crawl_sites(seeds, config)

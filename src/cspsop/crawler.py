@@ -23,6 +23,7 @@ import re
 import signal
 import socket
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from html import unescape
 from typing import TYPE_CHECKING
@@ -302,6 +303,14 @@ def _raw_text_end(body: str, start: int, tag: str) -> int:
 _AUTHORITY_PREFIX = re.compile(r"[^:/?#]*://[^/?#]*")
 
 
+def _absolute(base: str, ref: str) -> str | None:
+    """ref resolved against base, without its fragment; None if urllib cannot parse it."""
+    try:
+        return urldefrag(urljoin(base, ref)).url
+    except ValueError:
+        return None
+
+
 def _same_site_urls(
     candidates: list[str], base: str, site: str, psl: SuffixTable | None
 ) -> list[str]:
@@ -314,11 +323,8 @@ def _same_site_urls(
     seen: set[str] = set()
     on_site: dict[str, bool] = {}
     for raw in candidates:
-        try:
-            absolute, _ = urldefrag(urljoin(base, raw.strip()))
-        except ValueError:
-            continue
-        if absolute in seen:
+        absolute = _absolute(base, raw.strip())
+        if absolute is None or absolute in seen:
             continue
         seen.add(absolute)
         match = _AUTHORITY_PREFIX.match(absolute)
@@ -378,66 +384,53 @@ def fetch(url: str, config: CrawlConfig) -> FetchResult:
     """
     import http.client
 
-    current, _ = urldefrag(url)
+    current = url
     redirects = 0
-    while True:
-        try:
+    try:
+        current, _ = urldefrag(url)
+        while True:
             origin = origin_of(current)
-        except UnsupportedUrlError:
-            return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
-        parts = urlsplit(current)
-        path = parts.path or "/"
-        if parts.query:
-            path += "?" + parts.query
-        conn_cls = (
-            http.client.HTTPSConnection if origin.scheme == "https" else http.client.HTTPConnection
-        )
-        # Built for the origin, so that HTTPS sends and checks its host name.
-        # An override changes only the address dialled, through the
-        # _create_connection hook that http.client's connect() calls.
-        try:
-            conn = conn_cls(origin.host, origin.port, timeout=config.timeout)
-        except http.client.InvalidURL:
-            # A host with a space or a control character, which
-            # _same_site_urls keeps as a same-site link.
-            return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
-        override = config.resolve_overrides.get(origin.host)
-        if override:
-            address, port = _resolve_target(override)
-            target = (address, origin.port if port is None else port)
-            conn._create_connection = lambda _, *args: socket.create_connection(target, *args)
-        try:
-            conn.request(
-                "GET",
-                quote(path, safe=_ASCII),
-                headers={
-                    "Host": origin.ascii_serialization().split("://", 1)[1],
-                    "User-Agent": config.user_agent,
-                    "Accept": "*/*",
-                    "Connection": "close",
-                },
-            )
-            response = conn.getresponse()
-            location = response.getheader("Location")
-            if response.status in _REDIRECT_STATUSES and location and redirects < MAX_REDIRECTS:
-                redirects += 1
-                try:
+            parts = urlsplit(current)
+            path = parts.path or "/"
+            if parts.query:
+                path += "?" + parts.query
+            conn_cls = (http.client.HTTPSConnection if origin.scheme == "https"
+                        else http.client.HTTPConnection)
+            # Built for the origin, so that HTTPS sends and checks its host
+            # name. An override changes only the address dialled, through the
+            # _create_connection hook that http.client's connect() calls.
+            with closing(conn_cls(origin.host, origin.port, timeout=config.timeout)) as conn:
+                override = config.resolve_overrides.get(origin.host)
+                if override:
+                    address, port = _resolve_target(override)
+                    target = (address, origin.port if port is None else port)
+                    conn._create_connection = lambda _, *a: socket.create_connection(target, *a)
+                conn.request(
+                    "GET",
+                    quote(path, safe=_ASCII),
+                    headers={
+                        "Host": origin.ascii_serialization().split("://", 1)[1],
+                        "User-Agent": config.user_agent,
+                        "Accept": "*/*",
+                        "Connection": "close",
+                    },
+                )
+                response = conn.getresponse()
+                location = response.getheader("Location")
+                if response.status in _REDIRECT_STATUSES and location and redirects < MAX_REDIRECTS:
+                    redirects += 1
                     current, _ = urldefrag(urljoin(current, location))
-                except ValueError:  # say, "http://[::1" ("Invalid IPv6 URL")
-                    return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
-                continue
-            body = response.read(BODY_CAP)
+                    continue
+                body = response.read(BODY_CAP)
             status = STATUS_OK if 200 <= response.status < 300 else STATUS_HTTP_ERROR
             return FetchResult(url, current, status, response.status, response.getheaders(), body)
-        except socket.timeout:
-            return FetchResult(url, current, STATUS_TIMEOUT, None, [], b"")
-        except (OSError, http.client.HTTPException, UnicodeError):
-            # UnicodeError: http.client sends the Host header as Latin-1, so
-            # a host outside it (an IDN not yet in A-label form) cannot be
-            # requested.
-            return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
-        finally:
-            conn.close()
+    except socket.timeout:
+        return FetchResult(url, current, STATUS_TIMEOUT, None, [], b"")
+    except (OSError, http.client.HTTPException, ValueError):
+        # ValueError: a URL or Location that urllib cannot parse (say,
+        # "http://[::1") or that has no http(s) origin, or a host that the
+        # Latin-1 Host header cannot hold (an IDN not in A-label form).
+        return FetchResult(url, current, STATUS_NETWORK_ERROR, None, [], b"")
 
 
 # The labels that the WHATWG Encoding Standard maps to windows-1252, as
@@ -530,9 +523,11 @@ def crawl_site(seed: str, config: CrawlConfig | None = None) -> list[PageRecord]
     """
     config = config or CrawlConfig()
     psl = NAIVE_SUFFIXES if config.naive_sites else None
-    seed, _ = urldefrag(seed)
+    absolute = _absolute("", seed)
+    if absolute is not None:
+        seed = absolute
     # The one record of a seed that is not fetched: it has no http(s)
-    # origin, or robots forbid it.
+    # origin (or does not parse at all), or robots forbid it.
     unfetched = build_record(
         FetchResult(seed, seed, STATUS_NETWORK_ERROR, None, [], b""), DEPTH_HOME, psl
     )
