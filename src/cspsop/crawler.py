@@ -447,7 +447,7 @@ _WINDOWS_1252_LABELS = frozenset({
 def _body_text(result: FetchResult) -> str:
     """The body decoded with the charset its Content-Type declares; UTF-8
     when it declares none, or one that is unknown or cannot decode (say,
-    charset=undefined)."""
+    charset=undefined, or a NUL byte in the name)."""
     import email.message
 
     content_type = email.message.Message()
@@ -455,12 +455,12 @@ def _body_text(result: FetchResult) -> str:
         if name.lower() == "content-type":
             content_type["Content-Type"] = value
             break
-    charset = content_type.get_content_charset() or "utf-8"
-    if charset in _WINDOWS_1252_LABELS:
-        charset = "cp1252"
-    try:
+    try:  # get_content_charset itself raises on charset*=\x00''x (RFC 2231)
+        charset = content_type.get_content_charset() or "utf-8"
+        if charset in _WINDOWS_1252_LABELS:
+            charset = "cp1252"
         return result.body.decode(charset, errors="replace")
-    except (LookupError, UnicodeError):
+    except (LookupError, ValueError):
         return result.body.decode("utf-8", errors="replace")
 
 
@@ -491,14 +491,31 @@ def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None
 
 
 def _load_robots(origin: Origin, config: CrawlConfig) -> RobotFileParser | None:
+    """The origin's robots.txt rules, without the lines RobotFileParser
+    raises on (say, "Disallow: http://[::1" or "Crawl-delay: ²"): RFC 9309
+    has a crawler use the rules that parse. A group left with no rules is
+    then read as robotparser reads one: dropped, or merged with the next."""
     from urllib.robotparser import RobotFileParser
 
     result = fetch(origin.ascii_serialization() + "/robots.txt", config)
     if result.status != STATUS_OK:
         return None
+    lines = result.body.decode("utf-8", errors="replace").splitlines()
     parser = RobotFileParser()
-    parser.parse(result.body.decode("utf-8", errors="replace").splitlines())
+    parser.parse([line for line in lines if _robots_line_parses(line)])
     return parser
+
+
+def _robots_line_parses(line: str) -> bool:
+    """Whether RobotFileParser reads the line, as a line of a group,
+    without raising."""
+    from urllib.robotparser import RobotFileParser
+
+    try:
+        RobotFileParser().parse(["User-agent: *", line])
+    except ValueError:
+        return False
+    return True
 
 
 def _allowed(robots: RobotFileParser | None, user_agent: str, url: str) -> bool:

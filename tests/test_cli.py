@@ -287,6 +287,22 @@ class TestAuditPair:
         )
         assert code == EXIT_IO
 
+    def test_unparseable_url_exits_2(self, capsys, fixture_site):
+        fixture_site.add("/b", "")
+        code = main(["audit-pair", "--parent", "http://[::1#x", "--iframe", fixture_site.url("/b")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "fetch failed: parent=network-error iframe=ok" in err and "Traceback" not in err
+
+    def test_nul_charset_is_read_as_utf8(self, capsys, fixture_site):
+        fixture_site.add("/a", "", headers=[("Content-Security-Policy", "img-src 'self'")],
+                         content_type="text/html; charset=\x00")
+        fixture_site.add("/b", "", headers=[("Content-Security-Policy", "img-src 'self'")])
+        code = main(["audit-pair", "--parent", fixture_site.url("/a"),
+                     "--iframe", fixture_site.url("/b")])
+        assert code == EXIT_OK
+        assert "no-violation" in capsys.readouterr().out
+
     def test_user_agent_flag(self, capsys, fixture_site):
         fixture_site.add("/a", "")
         fixture_site.add("/b", "")
@@ -354,6 +370,47 @@ class TestCrawlAndAnalyze:
         failed = records["ftp://x.com/"]
         assert (failed.fetch_status, failed.origin, failed.site) == ("network-error", None, None)
         assert records["http://main.com/"].fetch_status == "ok"
+
+    def test_unparseable_seed_keeps_other_sites(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/", "<p>home</p>", host="main.com")
+        assert self._crawl(tmp_path, fixture_site, b"http://[::1#x\nhttp://main.com/\n") == EXIT_OK
+        records = read_corpus(tmp_path / "corpus.jsonl")
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://[::1#x", "network-error"), ("http://main.com/", "ok"),
+        ]
+
+    def _crawl_two_sites(self, tmp_path, fixture_site) -> list[tuple[str, str]]:
+        """Crawls main.com and other.net, with robots.txt read, and returns
+        the corpus's (url, fetch_status) pairs."""
+        fixture_site.add("/", "<p>other</p>", host="other.net")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("http://main.com/\nhttp://other.net/\n")
+        out = tmp_path / "corpus.jsonl"
+        code = main([
+            "crawl", "--seeds", str(seeds), "--out", str(out), "--politeness", "0",
+            "--resolve", f"main.com=127.0.0.1:{fixture_site.port}",
+            "--resolve", f"other.net=127.0.0.1:{fixture_site.port}",
+        ])
+        assert code == EXIT_OK
+        return [(r.url, r.fetch_status) for r in read_corpus(out)]
+
+    def test_unparseable_robots_rule_keeps_the_corpus(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/robots.txt", "User-agent: *\nDisallow: http://[::1\nDisallow: /p\n",
+                         host="main.com", content_type="text/plain")
+        fixture_site.add("/", '<a href="/p.html">p</a><a href="/a.html">a</a>', host="main.com")
+        fixture_site.add("/p.html", "<p>private</p>", host="main.com")
+        fixture_site.add("/a.html", "<p>a</p>", host="main.com")
+        assert self._crawl_two_sites(tmp_path, fixture_site) == [
+            ("http://main.com/", "ok"), ("http://main.com/a.html", "ok"), ("http://other.net/", "ok"),
+        ]
+
+    def test_nul_charset_keeps_the_corpus(self, capsys, tmp_path, fixture_site):
+        fixture_site.add("/", '<a href="/a.html">a</a>', host="main.com",
+                         content_type="text/html; charset=\x00")
+        fixture_site.add("/a.html", "<p>a</p>", host="main.com")
+        assert self._crawl_two_sites(tmp_path, fixture_site) == [
+            ("http://main.com/", "ok"), ("http://main.com/a.html", "ok"), ("http://other.net/", "ok"),
+        ]
 
     def _crawl(self, tmp_path, fixture_site, seeds: bytes, out=None) -> int:
         seeds_path = tmp_path / "seeds.txt"

@@ -1,7 +1,9 @@
 import multiprocessing
 import os
 import signal
+import socket
 import ssl
+import string
 import threading
 import time
 import urllib.robotparser
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import conftest
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_same_site_urls
 
@@ -160,6 +162,57 @@ class TestBodyCharset:
                              [("Content-Type", content_type)], body.encode())
         record = build_record(result, DEPTH_HOME)
         assert [p.raw for p in record.policies] == ["img-src café.test"]
+
+
+    @pytest.mark.parametrize("content_type", [
+        "text/html; charset=\x00", "text/html; charset=utf-8\x00", "text/html; charset*=\x00''x",
+    ])
+    def test_nul_in_charset_falls_back_to_utf8(self, content_type):
+        # bytes.decode, and for an RFC 2231 charset*= get_content_charset
+        # too, raise "embedded null character", a ValueError.
+        body = '<meta http-equiv="Content-Security-Policy" content="img-src café.test">'
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", content_type)], body.encode())
+        record = build_record(result, DEPTH_HOME)
+        assert [p.raw for p in record.policies] == ["img-src café.test"]
+
+
+CONTENT_TYPE_PIECES = [
+    "text/html", ";", " ", "charset", "*", "0", "=", "'", "''", '"', "\x00", "\n", "\\", "%",
+    "%00", "%ff", "utf-8", "utf-16", "latin1", "base64", "undefined", "x", "é", "\udc80",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CONTENT_TYPE_PIECES), max_size=10).map("".join) | st.text())
+@example("text/html; charset=\x00")
+@example("text/html; charset*=\x00''x")
+def test_build_record_never_raises_on_hostile_content_type(content_type):
+    body = b'<meta http-equiv="Content-Security-Policy" content="img-src a.test"><a href="/x">x</a>'
+    result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                         [("Content-Type", content_type)], body)
+    assert build_record(result, DEPTH_HOME).fetch_status == STATUS_OK
+
+
+def _refuse(*args, **kwargs):
+    raise ConnectionRefusedError("no connection in this test")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(
+    str.__add__, st.sampled_from(["http://", "https://"]),
+    st.text(":/[]#?@%. \x00" + string.ascii_letters + string.digits, max_size=20),
+))
+@example("http://[::1#x")
+def test_fetch_never_raises_on_hostile_url(url):
+    # http.client binds socket.create_connection to each connection it
+    # builds, and a resolve override calls it too: with it refused, no
+    # request makes a DNS lookup or opens a socket.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(socket, "create_connection", _refuse)
+        result = fetch(url, quick_config())
+    assert result.url == url
+    assert result.status in (STATUS_NETWORK_ERROR, STATUS_TIMEOUT)
 
 
 class TestFetch:
@@ -557,6 +610,12 @@ class TestCrawlSite:
         records = crawl_site(seed, quick_config(naive_sites=naive_sites))
         assert [asdict(r) for r in records] == [self.failed_seed_fields(seed, None, None)]
 
+    def test_unparseable_seed_record(self):
+        # urldefrag raises "Invalid IPv6 URL" on it; the seed keeps its text.
+        seed = "http://[::1#x"
+        records = crawl_site(seed, quick_config())
+        assert [asdict(r) for r in records] == [self.failed_seed_fields(seed, None, None)]
+
     @pytest.mark.parametrize("naive_sites, site", [(False, "shop.co.uk"), (True, "co.uk")])
     def test_robots_forbidden_seed_record(self, fixture_site, naive_sites, site):
         host = "www.shop.co.uk"
@@ -603,6 +662,28 @@ class TestCrawlSite:
         by_url = {r.url: r for r in records}
         assert by_url["http://x%5B.main.com/odd.html"].fetch_status == STATUS_OK
         assert "http://main.com/private.html" not in by_url
+
+    @pytest.mark.parametrize("bad_rule", ["Disallow: http://[::1", "Crawl-delay: ²"])
+    def test_robots_unparseable_rule_is_ignored(self, fixture_site, bad_rule):
+        # RobotFileParser.parse raises ValueError on the first rule:
+        # "Invalid IPv6 URL", or int() of a digit that str.isdigit accepts.
+        robots = f"User-agent: *\n{bad_rule}\nDisallow: /private\n"
+        fixture_site.add("/robots.txt", robots, host="main.com", content_type="text/plain")
+        fixture_site.add("/", '<a href="/private.html">p</a><a href="/open.html">o</a>',
+                         host="main.com")
+        fixture_site.add("/private.html", "secret", host="main.com")
+        fixture_site.add("/open.html", "open", host="main.com")
+        fixture_site.add("/", "<p>other</p>", host="other.net")
+        config = quick_config(
+            respect_robots=True,
+            resolve_overrides=fixture_site.resolve_overrides("main.com", "other.net"),
+        )
+        records = crawl_sites(["http://main.com/", "http://other.net/"], config)
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://main.com/", STATUS_OK),
+            ("http://main.com/open.html", STATUS_OK),
+            ("http://other.net/", STATUS_OK),
+        ]
 
     def test_robots_unexpected_error_surfaces(self, fixture_site, monkeypatch):
         fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n", host="main.com",
@@ -706,6 +787,13 @@ class TestCrawlSites:
 
     def test_no_seeds(self):
         assert crawl_sites([], quick_config()) == []
+
+    def test_unparseable_seed(self):
+        with _deadline(60):
+            records = crawl_sites(["http://[::1#x"], quick_config())
+        assert [(r.url, r.fetch_status) for r in records] == [
+            ("http://[::1#x", STATUS_NETWORK_ERROR)
+        ]
 
     def test_worker_exception_surfaces(self, fixture_site, monkeypatch):
         fixture_site.add("/robots.txt", "User-agent: *\nDisallow: /private\n",
