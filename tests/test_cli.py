@@ -35,6 +35,26 @@ README = Path(__file__).parent.parent / "README.md"
 
 STRICT_CSP = "default-src 'none'; script-src 'self'; child-src 'self'"
 
+# The mitigation texts that audit-pair and recommend print, spelled out.
+ORIGIN_WIDE_ADVICE = (
+    "Deliver one identical effective CSP on every page of the origin, "
+    "so no embeddable document is weaker than its embedder."
+)
+FREEZE_ADVICE = (
+    "Run a first script that freezes document.domain, preventing any "
+    "later code from relaxing the origin to the shared parent domain."
+)
+FREEZE_SNIPPET = (
+    'Object.defineProperty(document, "domain", '
+    "{ __proto__: null, writable: false, configurable: false});"
+)
+SANDBOX_ADVICE = (
+    "If the iframe does not need the page's origin, isolate it with the "
+    "sandbox CSP directive (no allow-same-origin): a unique origin makes "
+    "SOP shield both documents, and the directive cannot be stripped by "
+    "scripts the way the iframe attribute can."
+)
+
 
 def _record_with(**fields) -> dict:
     return {**record_to_dict(make_violation_corpus()[0]), **fields}
@@ -309,6 +329,32 @@ class TestAuditPair:
         main(["audit-pair", "--parent", fixture_site.url("/a"), "--iframe", fixture_site.url("/b"),
               "--user-agent", "cspsop-audit/1.0"])
         assert fixture_site.user_agents == ["cspsop-audit/1.0"] * 2
+
+    def test_relaxable_different_csp_text(self, capsys, fixture_site):
+        # Two hosts of one site: relaxable through document.domain.
+        parent_csp = "default-src 'none'; img-src https://cdn.net; script-src https://cdn.net"
+        iframe_csp = "default-src 'none'; img-src *; script-src *"
+        fixture_site.add("/A.html", '<iframe src="http://b.main.com/B.html"></iframe>',
+                         host="a.main.com", headers=[("Content-Security-Policy", parent_csp)])
+        fixture_site.add("/B.html", "", host="b.main.com",
+                         headers=[("Content-Security-Policy", iframe_csp)])
+        port = fixture_site.port
+        code = main(["audit-pair", "--parent", "http://a.main.com/A.html",
+                     "--iframe", "http://b.main.com/B.html",
+                     "--resolve", f"a.main.com=127.0.0.1:{port}",
+                     "--resolve", f"b.main.com=127.0.0.1:{port}"])
+        assert code == EXIT_VIOLATION
+        assert capsys.readouterr().out == (
+            "parent:   http://a.main.com/A.html [http://a.main.com]\n"
+            "iframe:   http://b.main.com/B.html [http://b.main.com]\n"
+            "relation: relaxable\n"
+            "category: different-csp\n"
+            "evidence: img-src, script-src\n"
+            f"mitigate: [origin-wide-csp] {ORIGIN_WIDE_ADVICE}\n"
+            f"mitigate: [document-domain-freeze] {FREEZE_ADVICE}\n"
+            f"          {FREEZE_SNIPPET}\n"
+            f"mitigate: [sandbox-directive] {SANDBOX_ADVICE}\n"
+        )
 
     @pytest.mark.parametrize("user_agent", ["a\nb", "café中"])
     def test_unsendable_user_agent_exits_1(self, capsys, user_agent):
@@ -730,6 +776,16 @@ class TestRecommend:
         assert code == EXIT_OK
         kinds = [m["kind"] for m in json.loads(capsys.readouterr().out)]
         assert kinds == ["origin-wide-csp", "document-domain-freeze", "sandbox-directive"]
+
+    def test_relaxable_different_text(self, capsys):
+        code = main(["recommend", "--relation", "relaxable", "--category", "different-csp"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"[origin-wide-csp] {ORIGIN_WIDE_ADVICE}\n"
+            f"[document-domain-freeze] {FREEZE_ADVICE}\n"
+            f"  {FREEZE_SNIPPET}\n"
+            f"[sandbox-directive] {SANDBOX_ADVICE}\n"
+        )
 
     def test_no_violation_empty(self, capsys):
         code = main(["recommend", "--relation", "same-origin", "--category", "no-violation"])

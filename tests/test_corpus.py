@@ -10,6 +10,7 @@ from cspsop.corpus import (
     PageRecord,
     UnsupportedSchemaError,
     iter_corpus,
+    iter_site_groups,
     read_corpus,
     record_from_dict,
     record_to_dict,
@@ -152,6 +153,15 @@ def test_iter_corpus_is_streaming(records, tmp_path):
     assert first == records[0]
     assert list(iterator) == records[1:]
 
+
+
+def test_blank_record_lines_are_skipped(records, tmp_path):
+    clean, padded = tmp_path / "clean.jsonl", tmp_path / "padded.jsonl"
+    write_corpus(records, clean)
+    header, *lines = clean.read_text().splitlines()
+    padded.write_text("\n".join([header, "", lines[0], " \t", *lines[1:], "", ""]))
+    assert list(iter_corpus(padded)) == records
+    assert list(iter_site_groups(padded)) == list(iter_site_groups(clean))
 
 class TestPolicySharing:
     def test_equal_policies_share_one_object(self, tmp_path):

@@ -36,6 +36,14 @@ class TestNormalizeRules:
         result = norm("default-src 'self'; script-src third.com; child-src https:")
         assert {k: set(v) for k, v in result.directives.items()} == expected
 
+    def test_repeated_directive_keeps_its_first_occurrence(self):
+        text = "script-src a.com; img-src 'self'; script-src b.com 'unsafe-inline'"
+        expected = oracle_normalize(text, "http", "main.com", 80)
+        assert expected["script-src"] == {"http://a.com", "https://a.com"}
+
+        result = norm(text)
+        assert {k: set(v) for k, v in result.directives.items()} == expected
+
     def test_default_none_empties_all_fallbacks(self):
         result = norm("default-src 'none'")
         for name in FALLBACK_DIRECTIVES:

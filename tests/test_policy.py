@@ -1,13 +1,17 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspsop.normalize import normalize
+from cspsop.origins import Origin
 from cspsop.policy import (
     ENFORCE,
     HTTP_HEADER,
     META_ELEMENT,
     REPORT_ONLY,
+    ParseWarning,
     Policy,
     _parse,
     extract_policies,
@@ -101,6 +105,17 @@ class TestParsePolicy:
         first, second = policy.directives["script-src"].sources
         assert (first.host, first.port, first.path) == ("example.com", "8080", "/Js/App.js")
         assert (second.host, second.port) == ("*.cdn.net", "*")
+
+    @pytest.mark.parametrize(
+        "keyword", ["'strict-dynamic'", "'unsafe-hashes'", "'wasm-unsafe-eval'", "'report-sample'"]
+    )
+    def test_csp3_keyword_is_a_malformed_source(self, keyword):
+        # CSP2 reading: a keyword this grammar does not know restricts nothing.
+        policy = parse_policy(f"script-src 'self' {keyword}")
+        assert [s.token() for s in policy.directives["script-src"].sources] == ["'self'"]
+        assert policy.warnings == (ParseWarning("malformed-source", f"script-src: {keyword}"),)
+        origin = Origin("http", "main.com", 80)
+        assert normalize(policy, origin) == normalize(parse_policy("script-src 'self'"), origin)
 
     def test_out_of_range_port_malformed(self):
         policy = parse_policy("script-src example.com:99999")
