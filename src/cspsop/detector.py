@@ -10,13 +10,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .compare import difference_evidence
+from .compare import _enforced_key, _policy_key, difference_evidence  # noqa: F401
 from .corpus import STATUS_OK, PageRecord
-from .normalize import normalize
 from .origins import Origin
-from .policy import parse_policy
 
 RELATION_SAME_ORIGIN = "same-origin"
 RELATION_RELAXABLE = "relaxable"
@@ -148,32 +145,6 @@ def _json(value):
 
 def _fields(value) -> dict:
     return {name: _json(item) for name, item in vars(value).items()}
-
-
-# NormalizedPolicy.key of one enforced policy text on one page origin.
-# The cache key must hold every input normalize() reads: today the text
-# and the origin, since only enforced policies get here and delivery is
-# not read. A rule that read delivery (say, ignoring a meta-delivered
-# sandbox) would have to add it. Corpora are site-ordered, so a small LRU
-# catches the repeats. A miss normalizes the text token by token through
-# normalize's own token cache and parses no policy, so the records' own
-# policies stay unparsed.
-@lru_cache(maxsize=64)
-def _policy_key(raw: str, origin: Origin) -> tuple:
-    return normalize(parse_policy(raw), origin).key
-
-
-def _enforced_key(record: PageRecord) -> tuple:
-    """Policy-set key of a record's enforced policies: the sorted
-    NormalizedPolicy.key of each, normalized against the record's origin;
-    () when it has none.
-
-    Report-only policies are excluded: they record violations but restrict
-    nothing, so they cannot be violated.
-    """
-    if record.origin is None:
-        return ()
-    return tuple(sorted(_policy_key(p.raw, record.origin) for p in record.enforced_policies()))
 
 
 def _peer_group(record: PageRecord) -> tuple:

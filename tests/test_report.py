@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -275,7 +276,8 @@ class TestLazyParsing:
                 for p in record.policies
             ]
         assert any(marker in p.raw for r in corpus for p in r.policies)
-        real_normalize = detector.normalize
+        compare_module = importlib.import_module("cspsop.compare")
+        real_normalize = compare_module.normalize
         normalized = []
 
         def recording_normalize(policy, origin):
@@ -285,7 +287,7 @@ class TestLazyParsing:
         def no_parse(raw):
             raise AssertionError(f"parsed {raw!r}")
 
-        monkeypatch.setattr(detector, "normalize", recording_normalize)
+        monkeypatch.setattr(compare_module, "normalize", recording_normalize)
         monkeypatch.setattr(policy_module, "_parse", no_parse)
         detector._policy_key.cache_clear()  # no keys memoized by earlier tests
         potential_violations(corpus)
