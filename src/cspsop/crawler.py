@@ -17,6 +17,7 @@ from __future__ import annotations
 # them imported here, 18.0 MiB without. The crawl's command process does
 # not load the network stack either; each pool worker does, on its first
 # fetch.
+import codecs
 import ipaddress
 import itertools
 import re
@@ -443,11 +444,27 @@ _WINDOWS_1252_LABELS = frozenset({
     "us-ascii", "windows-1252", "x-cp1252",
 })
 
+# The Python codecs that the Encoding Standard's labels name, as
+# codecs.lookup(label).name, less those of its "replacement" encoding
+# (iso-2022-kr, hz-gb-2312), which a browser never decodes with. A charset
+# whose codec is not here (utf-32, punycode, unicode_escape) is one no
+# browser knows, and a body read with it could lose its policies or carry
+# lone surrogates.
+_WHATWG_CODECS = frozenset({
+    "ascii", "big5", "big5hkscs", "cp1250", "cp1251", "cp1252", "cp1253", "cp1254", "cp1255",
+    "cp1256", "cp1257", "cp1258", "cp866", "cp932", "euc_jp", "euc_kr", "gb18030", "gb2312",
+    "gbk", "iso2022_jp", "iso8859-1", "iso8859-2", "iso8859-3", "iso8859-4", "iso8859-5",
+    "iso8859-6", "iso8859-7", "iso8859-8", "iso8859-9", "iso8859-10", "iso8859-11",
+    "iso8859-13", "iso8859-14", "iso8859-15", "iso8859-16", "koi8-r", "koi8-u", "mac-roman",
+    "shift_jis", "tis-620", "utf-16", "utf-16-be", "utf-16-le", "utf-8",
+})
+
 
 def _body_text(result: FetchResult) -> str:
     """The body decoded with the charset its Content-Type declares; UTF-8
-    when it declares none, or one that is unknown or cannot decode (say,
-    charset=undefined, or a NUL byte in the name)."""
+    when it declares none, one that is unknown or cannot decode (say,
+    charset=undefined, or a NUL byte in the name), or one whose codec is
+    not an Encoding Standard encoding's."""
     import email.message
 
     content_type = email.message.Message()
@@ -459,9 +476,11 @@ def _body_text(result: FetchResult) -> str:
         charset = content_type.get_content_charset() or "utf-8"
         if charset in _WINDOWS_1252_LABELS:
             charset = "cp1252"
-        return result.body.decode(charset, errors="replace")
+        if codecs.lookup(charset).name in _WHATWG_CODECS:
+            return result.body.decode(charset, errors="replace")
     except (LookupError, ValueError):
-        return result.body.decode("utf-8", errors="replace")
+        pass
+    return result.body.decode("utf-8", errors="replace")
 
 
 def build_record(result: FetchResult, depth: str, psl: SuffixTable | None = None) -> PageRecord:

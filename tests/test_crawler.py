@@ -164,6 +164,31 @@ class TestBodyCharset:
         assert [p.raw for p in record.policies] == ["img-src café.test"]
 
 
+    @pytest.mark.parametrize("charset", ["punycode", "utf-32", "unicode_escape", "no-such-charset"])
+    def test_codec_no_browser_knows_reads_as_utf8(self, charset):
+        # utf-32 and punycode lose the whole page; unicode_escape would
+        # turn the literal \ud800 in the href into a lone surrogate.
+        body = (b'<meta http-equiv="Content-Security-Policy" content="img-src a.test">'
+                b'<a href="/x\\ud800">x</a><iframe src="/frame.html"></iframe>')
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", f"text/html; charset={charset}")], body)
+        record = build_record(result, DEPTH_HOME)
+        assert [p.raw for p in record.policies] == ["img-src a.test"]
+        assert record.links_same_site == ["http://main.com/x\\ud800"]
+        assert record.iframes_same_site == ["http://main.com/frame.html"]
+
+    @pytest.mark.parametrize("charset, host", [
+        ("koi8-r", "д"), ("windows-1251", "д"), ("iso-8859-9", "ğ"), ("shift_jis", "中"),
+        ("gbk", "中"), ("big5", "中"), ("euc-kr", "한"), ("utf-16le", "中"), ("utf-16", "中"),
+    ])
+    def test_encoding_standard_charsets_decode_with_their_codec(self, charset, host):
+        body = f'<meta http-equiv="Content-Security-Policy" content="img-src {host}.test">'
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", f"text/html; charset={charset}")],
+                             body.encode(charset))
+        record = build_record(result, DEPTH_HOME)
+        assert [p.raw for p in record.policies] == [f"img-src {host}.test"]
+
     @pytest.mark.parametrize("content_type", [
         "text/html; charset=\x00", "text/html; charset=utf-8\x00", "text/html; charset*=\x00''x",
     ])
