@@ -29,7 +29,7 @@ from .detector import (
     potential_violations,
     recommend,
 )
-from .fixtures import DEFAULT_PAGE_CSP, generate_suite
+from .fixtures import DEFAULT_BEACON, DEFAULT_PAGE_CSP, DEFAULT_PAGE_ORIGIN, generate_suite
 from .normalize import normalize
 from .origins import UnsupportedUrlError, origin_of
 from .policy import ENFORCE, REPORT_ONLY, parse_policy
@@ -71,6 +71,8 @@ def _read_text(path: str, encoding: str = "utf-8") -> str:
 def _read_policy_arg(args) -> str:
     if args.policy is not None:
         return args.policy
+    if args.file is None:
+        raise UsageError(f"{args.command} requires --policy or --file")
     return _read_text(args.file).strip()
 
 
@@ -125,16 +127,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("parse", help="parse a policy string")
+    p.set_defaults(run=_cmd_parse)
     p.add_argument("--policy", help="policy text")
     p.add_argument("--file", help="file containing the policy text")
     p.add_argument("--report-only", action="store_true", help="mark as report-only")
 
     p = sub.add_parser("normalize", help="canonicalize a policy against a page origin")
+    p.set_defaults(run=_cmd_normalize)
     p.add_argument("--policy")
     p.add_argument("--file")
     p.add_argument("--origin", required=True, help="page URL or origin, e.g. http://x.com")
 
     p = sub.add_parser("compare", help="diff two policies directive by directive")
+    p.set_defaults(run=_cmd_compare)
     p.add_argument("--a", required=True)
     p.add_argument("--origin-a", required=True)
     p.add_argument("--b", required=True)
@@ -149,12 +154,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit-pair", parents=[fetch_args],
                        help="fetch a parent and iframe URL and classify the couple")
+    p.set_defaults(run=_cmd_audit_pair)
     p.add_argument("--parent", required=True)
     p.add_argument("--iframe", required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("crawl", parents=[fetch_args], argument_default=argparse.SUPPRESS,
                        help="crawl seed sites and write a corpus")
+    p.set_defaults(run=_cmd_crawl)
     p.add_argument("--seeds", required=True, help="file with one seed URL per line")
     p.add_argument("--out", required=True, help="corpus path (.jsonl or .jsonl.gz)")
     p.add_argument("--max-pages", type=int, dest="max_pages_per_site", metavar="N")
@@ -172,12 +179,14 @@ def build_parser() -> _Parser:
     corpus_args.add_argument("--out", help="write to file instead of stdout")
 
     p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("--table", choices=_TABLES, default="adoption")
 
     p = sub.add_parser("potential", parents=[corpus_args], help="shortcut for analyze --table potential")
-    p.set_defaults(table="potential")
+    p.set_defaults(run=_cmd_analyze, table="potential")
 
     p = sub.add_parser("recommend", help="mitigations for a classified couple")
+    p.set_defaults(run=_cmd_recommend)
     p.add_argument(
         "--relation", required=True, choices=report_mod.RELATIONS + (RELATION_UNRELATED,)
     )
@@ -185,9 +194,10 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("fixtures", help="generate srcdoc/sandbox conformance pages")
+    p.set_defaults(run=_cmd_fixtures)
     p.add_argument("--out", required=True)
-    p.add_argument("--beacon", default="https://probe-host.invalid")
-    p.add_argument("--page-origin", default="http://localhost:8000")
+    p.add_argument("--beacon", default=DEFAULT_BEACON)
+    p.add_argument("--page-origin", default=DEFAULT_PAGE_ORIGIN)
     p.add_argument("--page-csp", default=DEFAULT_PAGE_CSP)
 
     return parser
@@ -326,19 +336,6 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "normalize": _cmd_normalize,
-    "compare": _cmd_compare,
-    "audit-pair": _cmd_audit_pair,
-    "crawl": _cmd_crawl,
-    "analyze": _cmd_analyze,
-    "potential": _cmd_analyze,
-    "recommend": _cmd_recommend,
-    "fixtures": _cmd_fixtures,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -346,9 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        if args.command in ("parse", "normalize") and args.policy is None and args.file is None:
-            raise UsageError(f"{args.command} requires --policy or --file")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -32,6 +32,8 @@ ALLOWED = "allowed"
 SANDBOX_FLAGS = frozenset({"allow-scripts", "allow-same-origin"})
 
 DEFAULT_PAGE_CSP = "default-src 'none'; script-src 'self'; img-src 'self'; style-src 'self'"
+DEFAULT_BEACON = "https://probe-host.invalid"
+DEFAULT_PAGE_ORIGIN = "http://localhost:8000"
 
 # 1x1 transparent PNG, used as the image probe body.
 _PIXEL_PNG = base64.b64decode(
@@ -113,7 +115,7 @@ def policy_allows(policy: Policy, page_origin_url: str, directive: str, url: str
 
 
 def default_cases(
-    beacon_base: str = "https://probe-host.invalid",
+    beacon_base: str = DEFAULT_BEACON,
     page_csp: str = DEFAULT_PAGE_CSP,
 ) -> list[FixtureCase]:
     """All four sandbox-flag subsets crossed with a script and an image probe."""
@@ -212,7 +214,7 @@ def _check_case(case: FixtureCase, page_origin_url: str) -> None:
         )
 
 
-def generate_fixture(case: FixtureCase, out_dir: str | Path, page_origin_url: str = "http://localhost:8000") -> list[Path]:
+def generate_fixture(case: FixtureCase, out_dir: str | Path, page_origin_url: str = DEFAULT_PAGE_ORIGIN) -> list[Path]:
     """Write one case directory: the page, its header stub, and the verdicts.
 
     Rejects sandbox flags outside the supported set and refuses to generate
@@ -250,8 +252,8 @@ def generate_fixture(case: FixtureCase, out_dir: str | Path, page_origin_url: st
 
 def generate_suite(
     out_dir: str | Path,
-    beacon_base: str = "https://probe-host.invalid",
-    page_origin_url: str = "http://localhost:8000",
+    beacon_base: str = DEFAULT_BEACON,
+    page_origin_url: str = DEFAULT_PAGE_ORIGIN,
     page_csp: str = DEFAULT_PAGE_CSP,
 ) -> dict:
     """Generate every default case plus shared assets and a manifest.
