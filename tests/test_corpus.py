@@ -154,7 +154,6 @@ def test_iter_corpus_is_streaming(records, tmp_path):
     assert list(iterator) == records[1:]
 
 
-
 def test_blank_record_lines_are_skipped(records, tmp_path):
     clean, padded = tmp_path / "clean.jsonl", tmp_path / "padded.jsonl"
     write_corpus(records, clean)
@@ -162,6 +161,7 @@ def test_blank_record_lines_are_skipped(records, tmp_path):
     padded.write_text("\n".join([header, "", lines[0], " \t", *lines[1:], "", ""]))
     assert list(iter_corpus(padded)) == records
     assert list(iter_site_groups(padded)) == list(iter_site_groups(clean))
+
 
 class TestPolicySharing:
     def test_equal_policies_share_one_object(self, tmp_path):
