@@ -12,23 +12,9 @@ from dataclasses import fields
 
 from . import report as report_mod
 from .compare import compare
-from .corpus import (
-    DEPTH_HOME,
-    DEPTH_IFRAME_HOME,
-    STATUS_OK,
-    CorpusFormatError,
-    iter_site_groups,
-    read_corpus,
-    write_corpus,
-)
+from .corpus import DEPTH_HOME, DEPTH_IFRAME_HOME, STATUS_OK, CorpusFormatError, write_corpus
 from .crawler import CrawlConfig, _absolute, build_record, crawl_sites, fetch
-from .detector import (
-    RELATION_UNRELATED,
-    PairClassification,
-    classify_pair,
-    potential_violations,
-    recommend,
-)
+from .detector import RELATION_UNRELATED, PairClassification, classify_pair, recommend
 from .fixtures import DEFAULT_BEACON, DEFAULT_PAGE_CSP, DEFAULT_PAGE_ORIGIN, generate_suite
 from .normalize import normalize
 from .origins import UnsupportedUrlError, origin_of
@@ -180,7 +166,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
     p.set_defaults(run=_cmd_analyze)
-    p.add_argument("--table", choices=_TABLES, default="adoption")
+    p.add_argument("--table", choices=report_mod.TABLES, default="adoption")
 
     p = sub.add_parser("potential", parents=[corpus_args], help="shortcut for analyze --table potential")
     p.set_defaults(run=_cmd_analyze, table="potential")
@@ -282,29 +268,9 @@ def _cmd_crawl(args) -> int:
     return EXIT_OK
 
 
-# Each table over a list of records. The functions are looked up when a
-# table runs, not when this dict is built, so a wrapper installed on their
-# modules later (bench/tracer.py) sees every call.
-_TABLES = {
-    "adoption": lambda records: report_mod.adoption_stats(records),
-    "violations": lambda records: report_mod.violation_table(records),
-    "potential": lambda records: potential_violations(records),
-    "directive-diff": lambda records: report_mod.directive_diff_histogram(
-        [p.classification for p in report_mod.build_pairs(records)]
-    ),
-    "csp-per-site": lambda records: report_mod.csp_per_site_distribution(records),
-}
-
-
 def _cmd_analyze(args) -> int:
-    """Sum the table over the corpus's site groups; when the corpus is not
-    site-local, read it again and run the table over all of it at once."""
-    table = _TABLES[args.table]
     _check_writable(args.out)  # before the corpus is read
-    result = report_mod.sum_site_groups(iter_site_groups(args.corpus), table)
-    if result is None:
-        result = table(read_corpus(args.corpus))
-    _emit(result, args.out, args.format)
+    _emit(report_mod.run_table(args.corpus, args.table), args.out, args.format)
     return EXIT_OK
 
 

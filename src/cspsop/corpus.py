@@ -263,7 +263,7 @@ def iter_site_groups(path: str | Path) -> Iterator[list[PageRecord]]:
     so only one site's records are alive at a time. Each group interns its
     Policies in a map of its own, so that map never outgrows one site
     either. A site whose records are not contiguous comes out as several
-    groups; report.sum_site_groups detects that. A malformed line raises
+    groups; report.run_table detects that. A malformed line raises
     the same CorpusFormatError as iter_corpus, after the groups before it
     have been yielded.
     """

@@ -100,7 +100,7 @@ def analyzable_pages(corpus: list[PageRecord]) -> list[PageRecord]:
 
 class Additive:
     """A table whose value over site-local groups of records is the sum of
-    its values over each group (see report.sum_site_groups).
+    its values over each group (see report.run_table).
 
     `a += b` adds b into a field by field: numbers and Ratios add, dicts
     add per key (a key missing from a takes b's value), lists extend in

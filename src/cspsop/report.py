@@ -11,13 +11,14 @@ import csv
 import io
 import json
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import BinaryIO
 
 from .compare import difference_evidence
-from .corpus import DEPTH_HOME, PageRecord
+from .corpus import DEPTH_HOME, PageRecord, iter_site_groups, read_corpus
 from .detector import (
     CATEGORY_DIFFERENT,
     CATEGORY_NO_CSP,
@@ -35,6 +36,7 @@ from .detector import (
     analyzable_pages,
     classify_pair,
     peer_groups,
+    potential_violations,
 )
 from .origins import UnsupportedUrlError, origin_of
 
@@ -317,14 +319,26 @@ def page_set_diffs(
     return out
 
 
-def sum_site_groups(
-    groups: Iterable[list[PageRecord]], table: Callable[[list[PageRecord]], Additive]
-) -> Additive | None:
-    """One table over a corpus read as site groups (corpus.iter_site_groups):
-    the sum of the table over each group, or None when that sum may differ
-    from the table over the whole corpus.
+# Each table over a list of records, in the order --table lists them. The
+# functions are looked up when a table runs, not when this dict is built, so
+# a wrapper installed on their modules later (bench/tracer.py) sees every call.
+TABLES: dict[str, Callable[[list[PageRecord]], Additive]] = {
+    "adoption": lambda records: adoption_stats(records),
+    "violations": lambda records: violation_table(records),
+    "potential": lambda records: potential_violations(records),
+    "directive-diff": lambda records: directive_diff_histogram(
+        [p.classification for p in build_pairs(records)]
+    ),
+    "csp-per-site": lambda records: csp_per_site_distribution(records),
+}
 
-    The sum is exact when the corpus is site-local, that is when:
+
+def run_table(path: str | Path, name: str) -> Additive:
+    """The table TABLES[name] over the corpus at path.
+
+    The corpus is read as site groups (corpus.iter_site_groups), and the
+    table is summed over them. The sum is exact when the corpus is
+    site-local, that is when:
     1. each site's records are contiguous, so that a site is one group;
     2. no analyzable record's URL occurs in two groups;
     3. no iframe URL that is left unresolved in its own group is the URL of
@@ -334,23 +348,24 @@ def sum_site_groups(
        distinct-origin counts add.
     Peer groups (site, scheme, port) and iframe couples then never cross a
     group. Across groups only the sites and the hashes of URLs and origins
-    are kept: a false match between two hashes returns None, which costs a
-    whole-corpus pass, never a wrong count. A failed check returns at once,
-    except 3, which is known only at the end.
+    are kept: a false match between two hashes costs a whole-corpus pass,
+    never a wrong count. On the first failed check, or on check 3 after the
+    last group, the corpus is read again and the table runs over all of it.
     """
+    table = TABLES[name]
     sites: set[str | None] = set()
     urls: set[int] = set()
     origins: set[int] = set()
     unresolved: set[int] = set()
     total = table([])
-    for group in groups:
+    for group in iter_site_groups(path):
         pages = analyzable_pages(group)
         group_urls = {r.url for r in pages}
         url_hashes = set(map(hash, group_urls))
         origin_hashes = {hash(r.origin) for r in pages}
         site = group[0].site
         if site in sites or not urls.isdisjoint(url_hashes) or not origins.isdisjoint(origin_hashes):
-            return None
+            break
         sites.add(site)
         urls |= url_hashes
         origins |= origin_hashes
@@ -358,7 +373,12 @@ def sum_site_groups(
             hash(u) for r in pages for u in r.iframes_same_site if u not in group_urls
         )
         total += table(group)
-    return total if unresolved.isdisjoint(urls) else None
+    else:
+        if unresolved.isdisjoint(urls):
+            return total
+    # Not site-local. Free what the per-group pass holds before the second read.
+    del total, group, pages, group_urls, url_hashes, origin_hashes, sites, urls, origins, unresolved
+    return table(read_corpus(path))
 
 
 FORMAT_TEXT = "text"

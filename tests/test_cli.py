@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cspsop import cli
+from cspsop import cli, report
 from cspsop.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -592,8 +592,8 @@ class TestCrawlAndAnalyze:
         corpus_path = tmp_path / "corpus.jsonl"
         write_corpus(make_violation_corpus(), corpus_path)
         reads = []
-        monkeypatch.setattr(cli, "iter_site_groups", lambda *a: reads.append(a) or iter(()))
-        monkeypatch.setattr(cli, "read_corpus", lambda *a: reads.append(a) or [])
+        monkeypatch.setattr(report, "iter_site_groups", lambda *a: reads.append(a) or iter(()))
+        monkeypatch.setattr(report, "read_corpus", lambda *a: reads.append(a) or [])
         out = tmp_path / "no-such-dir" / "x.json"
         code = main([*argv, "--corpus", str(corpus_path), "--out", str(out)])
         assert code == EXIT_IO

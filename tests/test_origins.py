@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cspsop import cli, origins
+from cspsop import cli, origins, report
 from cspsop.corpus import write_corpus
 from cspsop.crawler import CrawlConfig, PageRecord, crawl_site
 from cspsop.detector import (
@@ -269,7 +269,7 @@ class TestSiteCache:
         path = tmp_path / "corpus.jsonl"
         write_corpus(corpus, path)
         site_of_calls.clear()
-        for table in cli._TABLES:
+        for table in report.TABLES:
             assert cli.main(["analyze", "--corpus", str(path), "--table", table,
                              "--format", "json"]) == 0
             out = json.loads(capsys.readouterr().out)
