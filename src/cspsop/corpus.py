@@ -11,9 +11,10 @@ small enough to share. A .gz suffix selects transparent gzip compression.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import zlib
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import groupby
@@ -147,15 +148,25 @@ def record_from_dict(
     return PageRecord(**fields)
 
 
-def _open(path: str | Path, mode: str) -> IO:
+@contextmanager
+def _binary(path: str | Path, mode: str) -> Iterator[IO[bytes]]:
+    """The file at path, opened with mode "rb" or "wb", through gzip when
+    its suffix is .gz. The gzip header holds no time and no file name, so
+    equal lines give equal bytes."""
     path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    with open(path, mode) as fh:
+        if path.suffix != ".gz":
+            yield fh
+            return
+        with gzip.GzipFile(filename="", mode=mode, fileobj=fh, mtime=0) as gz:
+            # Before Python 3.12, GzipFile compresses each write on its own.
+            with io.BufferedWriter(gz) if mode == "wb" else gz as out:
+                yield out
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _dump(obj: dict) -> bytes:
+    """One corpus line."""
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def write_corpus(
@@ -176,10 +187,10 @@ def write_corpus(
     }
     if meta:
         header["crawl"] = meta
-    with _open(path, "w") as fh:
-        fh.write(_dump(header) + "\n")
+    with _binary(path, "wb") as fh:
+        fh.write(_dump(header))
         for record in records:
-            fh.write(_dump(record_to_dict(record)) + "\n")
+            fh.write(_dump(record_to_dict(record)))
             count += 1
     return count
 
@@ -209,8 +220,7 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, text) of each line. Lines are split on bytes and then
     decoded, so that a line that cannot be read or decoded is a
     CorpusFormatError that names it."""
-    path = Path(path)
-    with gzip.open(path) if path.suffix == ".gz" else open(path, "rb") as fh:
+    with _binary(path, "rb") as fh:
         lineno = 1
         try:
             for raw in fh:

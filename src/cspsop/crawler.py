@@ -444,12 +444,23 @@ _WINDOWS_1252_LABELS = frozenset({
     "us-ascii", "windows-1252", "x-cp1252",
 })
 
-# The Python codecs that the Encoding Standard's labels name, as
-# codecs.lookup(label).name, less those of its "replacement" encoding
-# (iso-2022-kr, hz-gb-2312), which a browser never decodes with. A charset
-# whose codec is not here (utf-32, punycode, unicode_escape) is one no
-# browser knows, and a body read with it could lose its policies or carry
-# lone surrogates.
+# The labels of the Encoding Standard's "replacement" encoding. A browser
+# decodes a body so labelled to one U+FFFD, and so never sees its policies.
+_REPLACEMENT_LABELS = frozenset({
+    "csiso2022kr", "hz-gb-2312", "iso-2022-cn", "iso-2022-cn-ext", "iso-2022-kr", "replacement",
+})
+
+# The byte order marks, which decide the encoding before any label does,
+# and the codec each one selects.
+_BOMS = (
+    (codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_BE, "utf-16-be"),
+    (codecs.BOM_UTF16_LE, "utf-16-le"),
+)
+
+# The Python codecs that the Encoding Standard's other labels name, as
+# codecs.lookup(label).name. A charset whose codec is not here (utf-32,
+# punycode, unicode_escape) is one no browser knows, and a body read with
+# it could lose its policies or carry lone surrogates.
 _WHATWG_CODECS = frozenset({
     "ascii", "big5", "big5hkscs", "cp1250", "cp1251", "cp1252", "cp1253", "cp1254", "cp1255",
     "cp1256", "cp1257", "cp1258", "cp866", "cp932", "euc_jp", "euc_kr", "gb18030", "gb2312",
@@ -461,10 +472,16 @@ _WHATWG_CODECS = frozenset({
 
 
 def _body_text(result: FetchResult) -> str:
-    """The body decoded with the charset its Content-Type declares; UTF-8
-    when it declares none, one that is unknown or cannot decode (say,
+    """The body decoded as the Encoding Standard's "decode" does: a leading
+    BOM picks UTF-8, UTF-16BE or UTF-16LE over any label and is dropped;
+    otherwise the charset its Content-Type declares decodes it. A
+    "replacement" label gives one U+FFFD. UTF-8 is used when the body
+    declares no charset, one that is unknown or cannot decode (say,
     charset=undefined, or a NUL byte in the name), or one whose codec is
     not an Encoding Standard encoding's."""
+    for bom, codec in _BOMS:
+        if result.body.startswith(bom):
+            return result.body[len(bom):].decode(codec, errors="replace")
     import email.message
 
     content_type = email.message.Message()
@@ -474,6 +491,8 @@ def _body_text(result: FetchResult) -> str:
             break
     try:  # get_content_charset itself raises on charset*=\x00''x (RFC 2231)
         charset = content_type.get_content_charset() or "utf-8"
+        if charset in _REPLACEMENT_LABELS:
+            return "\ufffd" if result.body else ""
         if charset in _WINDOWS_1252_LABELS:
             charset = "cp1252"
         if codecs.lookup(charset).name in _WHATWG_CODECS:

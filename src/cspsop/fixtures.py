@@ -19,7 +19,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .normalize import normalize
-from .origins import DEFAULT_PORTS, origin_of
+from .origins import DEFAULT_PORTS, UnsupportedUrlError, origin_of
 from .policy import Policy, parse_policy, parse_source_expression
 
 ENGINE_WEBKIT_BLINK = "webkit-blink"
@@ -208,6 +208,12 @@ def _check_case(case: FixtureCase, page_origin_url: str) -> None:
     bad = case.sandbox_flags - SANDBOX_FLAGS
     if bad:
         raise ValueError(f"unsupported sandbox flags: {sorted(bad)}")
+    # A relative probe loads from the page's own origin, which no source of
+    # the self-check matches and 'self' may allow.
+    try:
+        origin_of(case.probe.url)
+    except UnsupportedUrlError as exc:
+        raise ValueError(f"probe {case.probe.url} is not an absolute http(s) URL") from exc
     if policy_allows(case.page_csp, page_origin_url, case.probe.directive, case.probe.url):
         raise ValueError(
             f"probe {case.probe.url} is allowed by the page CSP ({case.probe.directive})"

@@ -96,6 +96,16 @@ class TestUsage:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--resolve", "main.com", "--resolve expects HOST=ADDR[:PORT], got 'main.com'"),
+        ("--respect-robots", "maybe", "argument --respect-robots: expected true or false, got 'maybe'"),
+    ])
+    def test_bad_crawl_flag_value(self, capsys, tmp_path, flag, value, message):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["crawl", "--seeds", "s", "--out", str(out), flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {message}\n")
+        assert not out.exists()
+
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
@@ -817,3 +827,12 @@ class TestFixturesCommand:
         argv = ["fixtures", "--out", str(out), "--page-origin", "https://probe-host.invalid"]
         assert main(argv) == EXIT_USAGE
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("beacon", ["//localhost:8000", "notaurl"])
+    def test_relative_beacon_is_usage_error(self, capsys, tmp_path, beacon):
+        out = tmp_path / "fixtures"
+        assert main(["fixtures", "--out", str(out), "--beacon", beacon]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"error: probe {beacon}/probe.js is not an absolute http(s) URL\n"
+        )
+        assert not out.exists()

@@ -1,5 +1,7 @@
 import dataclasses
+import gzip
 import json
+import time
 
 import pytest
 
@@ -143,6 +145,17 @@ class TestHeader:
         write_corpus(records, a, created="2026-08-10T00:00:00+00:00")
         write_corpus(records, b, created="2026-08-10T00:00:00+00:00")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gzip_is_byte_reproducible(self, records, tmp_path, monkeypatch):
+        # Two names, written a second apart: the gzip header holds neither.
+        written = []
+        for now, name in [(1_700_000_000.0, "c1.jsonl.gz"), (1_700_000_001.0, "second.jsonl.gz")]:
+            monkeypatch.setattr(time, "time", lambda: now)
+            write_corpus(records, tmp_path / name, created="2024-01-01T00:00:00+00:00")
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
+        write_corpus(records, tmp_path / "plain.jsonl", created="2024-01-01T00:00:00+00:00")
+        assert gzip.decompress(written[0]) == (tmp_path / "plain.jsonl").read_bytes()
 
 
 def test_iter_corpus_is_streaming(records, tmp_path):

@@ -189,6 +189,39 @@ class TestBodyCharset:
         record = build_record(result, DEPTH_HOME)
         assert [p.raw for p in record.policies] == [f"img-src {host}.test"]
 
+    @pytest.mark.parametrize("encoding, bom, content_type", [
+        ("utf-16-le", b"\xff\xfe", "text/html"),
+        ("utf-16-be", b"\xfe\xff", "text/html; charset=windows-1252"),
+        ("utf-8", b"\xef\xbb\xbf", "text/html; charset=utf-16"),
+        ("utf-8", b"\xef\xbb\xbf", "text/html; charset=iso-2022-kr"),
+    ])
+    def test_bom_wins_over_any_label(self, encoding, bom, content_type):
+        body = ('<meta http-equiv="Content-Security-Policy" content="img-src 中.test">'
+                '<iframe src="/frame.html"></iframe>')
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", content_type)], bom + body.encode(encoding))
+        assert crawler._body_text(result) == body  # the BOM is dropped
+        record = build_record(result, DEPTH_HOME)
+        assert [p.raw for p in record.policies] == ["img-src 中.test"]
+        assert record.iframes_same_site == ["http://main.com/frame.html"]
+
+    @pytest.mark.parametrize("charset", [
+        "csiso2022kr", "hz-gb-2312", "iso-2022-cn", "iso-2022-cn-ext", "iso-2022-kr",
+        "replacement", "ISO-2022-KR",
+    ])
+    def test_replacement_labels_decode_to_one_replacement_character(self, charset):
+        # A browser never sees this page's policy or iframe.
+        body = (b'<meta http-equiv="Content-Security-Policy" content="img-src a.test">'
+                b'<iframe src="/frame.html"></iframe>')
+        result = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                             [("Content-Type", f"text/html; charset={charset}")], body)
+        assert crawler._body_text(result) == "\ufffd"
+        record = build_record(result, DEPTH_HOME)
+        assert record.policies == [] and record.iframes_same_site == []
+        empty = FetchResult("http://main.com/", "http://main.com/", STATUS_OK, 200,
+                            [("Content-Type", f"text/html; charset={charset}")], b"")
+        assert crawler._body_text(empty) == ""
+
     @pytest.mark.parametrize("content_type", [
         "text/html; charset=\x00", "text/html; charset=utf-8\x00", "text/html; charset*=\x00''x",
     ])

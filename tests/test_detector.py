@@ -108,6 +108,15 @@ class TestClassifyPair:
         result = classify_pair(parent, iframe)
         assert result.category == CATEGORY_ONLY_PARENT
 
+    def test_records_without_origin_are_unrelated_and_keyless(self):
+        # Two None origins are not one origin, and a policy without an
+        # origin to resolve 'self' against gives no key.
+        parent = make_page(A_HTML, STRICT_CSP)
+        iframe = make_page(B_HTML, "script-src a.com")
+        parent.origin = iframe.origin = None
+        result = classify_pair(parent, iframe)
+        assert result == PairClassification(RELATION_UNRELATED, CATEGORY_NO_CSP)
+
 
 class TestNormalizedEnforced:
     def test_memo_keeps_origins_apart(self):

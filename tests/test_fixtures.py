@@ -74,6 +74,20 @@ class TestPolicyAllows:
         # script-src missing, no default-src: most permissive fill applies
         assert policy_allows(policy, "http://x.com", "script-src", "https://any.net/x.js")
 
+    def test_other_host_same_scheme(self):
+        policy = parse_policy("img-src https://a.com")
+        assert not policy_allows(policy, "http://x.com", "img-src", "https://b.com/i.png")
+
+    def test_port_must_match(self):
+        policy = parse_policy("img-src https://a.com:8443")
+        assert not policy_allows(policy, "http://x.com", "img-src", "https://a.com/i.png")
+        assert policy_allows(policy, "http://x.com", "img-src", "https://a.com:8443/i.png")
+
+    def test_directory_path_must_prefix(self):
+        policy = parse_policy("img-src https://a.com/img/")
+        assert not policy_allows(policy, "http://x.com", "img-src", "https://a.com/css/x.png")
+        assert policy_allows(policy, "http://x.com", "img-src", "https://a.com/img/x.png")
+
 
 class TestGenerateFixture:
     def test_rejects_unknown_flags(self, tmp_path):
@@ -97,6 +111,20 @@ class TestGenerateFixture:
         )
         with pytest.raises(ValueError, match="allowed by the page CSP"):
             generate_fixture(case, tmp_path)
+
+    @pytest.mark.parametrize("url", ["//localhost:8000/probe.js", "notaurl/probe.js"])
+    def test_rejects_relative_probe(self, tmp_path, url):
+        # The probe would load from the page's own origin, which 'self' allows.
+        case = FixtureCase(
+            case_id="relative-probe",
+            page_csp=parse_policy(DEFAULT_PAGE_CSP),
+            sandbox_flags=frozenset({"allow-scripts"}),
+            probe=Probe("script", "script-src", url, needs_scripts=True),
+            expected={},
+        )
+        with pytest.raises(ValueError, match="not an absolute http"):
+            generate_fixture(case, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_page_headers_and_expectations(self, tmp_path):
         case = default_cases()[0]
@@ -143,6 +171,12 @@ class TestGenerateSuite:
                 (tmp_path / "cases" / case["case"] / "expected.json").read_text()
             )
             assert expected["expected"] == case["expected"]
+
+    @pytest.mark.parametrize("beacon", ["//localhost:8000", "notaurl"])
+    def test_rejects_relative_beacon(self, tmp_path, beacon):
+        with pytest.raises(ValueError, match="not an absolute http"):
+            generate_suite(tmp_path, beacon_base=beacon)
+        assert list(tmp_path.iterdir()) == []
 
     def test_probe_urls_use_beacon_base(self, tmp_path):
         manifest = generate_suite(tmp_path, beacon_base="https://collect.example.net")

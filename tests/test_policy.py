@@ -121,6 +121,17 @@ class TestParsePolicy:
         policy = parse_policy("script-src example.com:99999")
         assert policy.directives["script-src"].sources == ()
 
+    def test_malformed_hash_does_not_cancel_unsafe_inline(self):
+        # Only a well-formed hash makes a browser ignore 'unsafe-inline'.
+        assert parse_source_expression("'sha256-***'") is None
+        policy = parse_policy("script-src 'unsafe-inline' 'sha256-***'")
+        assert policy.warnings == (ParseWarning("malformed-source", "script-src: 'sha256-***'"),)
+        normalized = normalize(policy, Origin("http", "main.com", 80))
+        assert normalized.directives["script-src"] == frozenset({"'unsafe-inline'"})
+
+    def test_not_equal_to_its_text(self):
+        assert parse_policy("x") != "x"
+
 
 class TestSourceExpression:
     def test_wildcard(self):

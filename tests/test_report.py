@@ -226,6 +226,16 @@ class TestDirectiveDiffHistogram:
         assert flagged == 2
         assert len(page_set_diffs(corpus, relation)) == 1
 
+    def test_page_set_diffs_without_site_has_no_relaxed_couples(self):
+        corpus = [
+            replace(make_page(url, csp), site=None)
+            for url, csp in [("http://a.n.com/x", "script-src 'self'"),
+                             ("http://a.n.com/y", "img-src 'none'"),
+                             ("http://b.n.com/", "script-src 'self'")]
+        ]
+        assert page_set_diffs(corpus, RELATION_RELAXABLE) == []
+        assert len(page_set_diffs(corpus, RELATION_SAME_ORIGIN)) == 1
+
     @pytest.mark.parametrize("seed", [5, 13, 29])
     @pytest.mark.parametrize("relation", [RELATION_SAME_ORIGIN, RELATION_RELAXABLE])
     def test_page_set_diffs_match_bruteforce(self, seed, relation):
