@@ -108,83 +108,100 @@ def _config_from_args(args) -> CrawlConfig:
         raise UsageError(str(exc)) from exc
 
 
-def build_parser() -> _Parser:
+def _add_fetch_args(p: argparse.ArgumentParser) -> None:
+    """The fetch flags of audit-pair and crawl. A crawl setting's flag
+    stores into its CrawlConfig field, only when given."""
+    p.add_argument("--resolve", action=_ResolveAction, dest="resolve_overrides",
+                   metavar="HOST=ADDR[:PORT]", default=argparse.SUPPRESS)
+    p.add_argument("--timeout", type=float, metavar="S", default=argparse.SUPPRESS)
+    p.add_argument("--user-agent", metavar="UA", default=argparse.SUPPRESS)
+
+
+def _add_corpus_args(p: argparse.ArgumentParser) -> None:
+    """The corpus flags of analyze and potential."""
+    p.add_argument("--corpus", required=True)
+    formats = (report_mod.FORMAT_TEXT, report_mod.FORMAT_JSON, report_mod.FORMAT_CSV)
+    p.add_argument("--format", choices=formats, default=report_mod.FORMAT_TEXT)
+    p.add_argument("--out", help="write to file instead of stdout")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command line's parser. Given a command's name, only that
+    subcommand gets its arguments: the others keep their name and help,
+    which is all the top-level help, usage line and "invalid choice" error
+    read. Without one, every subcommand gets its arguments.
+    """
     parser = _Parser(prog="cspsop", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("parse", help="parse a policy string")
-    p.set_defaults(run=_cmd_parse)
-    p.add_argument("--policy", help="policy text")
-    p.add_argument("--file", help="file containing the policy text")
-    p.add_argument("--report-only", action="store_true", help="mark as report-only")
+    def add(name: str, help: str, **kwargs) -> _Parser | None:
+        if command not in (None, name):
+            sub.add_parser(name, help=help, add_help=False)
+            return None
+        return sub.add_parser(name, help=help, **kwargs)
 
-    p = sub.add_parser("normalize", help="canonicalize a policy against a page origin")
-    p.set_defaults(run=_cmd_normalize)
-    p.add_argument("--policy")
-    p.add_argument("--file")
-    p.add_argument("--origin", required=True, help="page URL or origin, e.g. http://x.com")
+    if p := add("parse", "parse a policy string"):
+        p.set_defaults(run=_cmd_parse)
+        p.add_argument("--policy", help="policy text")
+        p.add_argument("--file", help="file containing the policy text")
+        p.add_argument("--report-only", action="store_true", help="mark as report-only")
 
-    p = sub.add_parser("compare", help="diff two policies directive by directive")
-    p.set_defaults(run=_cmd_compare)
-    p.add_argument("--a", required=True)
-    p.add_argument("--origin-a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--origin-b", required=True)
+    if p := add("normalize", "canonicalize a policy against a page origin"):
+        p.set_defaults(run=_cmd_normalize)
+        p.add_argument("--policy")
+        p.add_argument("--file")
+        p.add_argument("--origin", required=True, help="page URL or origin, e.g. http://x.com")
 
-    # A crawl setting's flag stores into its CrawlConfig field, only when given.
-    fetch_args = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    fetch_args.add_argument("--resolve", action=_ResolveAction, dest="resolve_overrides",
-                            metavar="HOST=ADDR[:PORT]")
-    fetch_args.add_argument("--timeout", type=float, metavar="S")
-    fetch_args.add_argument("--user-agent", metavar="UA")
+    if p := add("compare", "diff two policies directive by directive"):
+        p.set_defaults(run=_cmd_compare)
+        p.add_argument("--a", required=True)
+        p.add_argument("--origin-a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--origin-b", required=True)
 
-    p = sub.add_parser("audit-pair", parents=[fetch_args],
-                       help="fetch a parent and iframe URL and classify the couple")
-    p.set_defaults(run=_cmd_audit_pair)
-    p.add_argument("--parent", required=True)
-    p.add_argument("--iframe", required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    if p := add("audit-pair", "fetch a parent and iframe URL and classify the couple"):
+        p.set_defaults(run=_cmd_audit_pair)
+        _add_fetch_args(p)
+        p.add_argument("--parent", required=True)
+        p.add_argument("--iframe", required=True)
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("crawl", parents=[fetch_args], argument_default=argparse.SUPPRESS,
-                       help="crawl seed sites and write a corpus")
-    p.set_defaults(run=_cmd_crawl)
-    p.add_argument("--seeds", required=True, help="file with one seed URL per line")
-    p.add_argument("--out", required=True, help="corpus path (.jsonl or .jsonl.gz)")
-    p.add_argument("--max-pages", type=int, dest="max_pages_per_site", metavar="N")
-    p.add_argument("--parallel", type=int, dest="parallel_sites", metavar="K",
-                   help="sites crawled at once, each in a forked worker process")
-    p.add_argument("--politeness", type=float, dest="politeness_delay", metavar="S",
-                   help="seconds between requests per site")
-    p.add_argument("--respect-robots", type=_true_or_false, metavar="true|false")
-    p.add_argument("--naive-sites", action="store_true", help="last-two-labels site mode")
+    if p := add("crawl", "crawl seed sites and write a corpus", argument_default=argparse.SUPPRESS):
+        p.set_defaults(run=_cmd_crawl)
+        _add_fetch_args(p)
+        p.add_argument("--seeds", required=True, help="file with one seed URL per line")
+        p.add_argument("--out", required=True, help="corpus path (.jsonl or .jsonl.gz)")
+        p.add_argument("--max-pages", type=int, dest="max_pages_per_site", metavar="N")
+        p.add_argument("--parallel", type=int, dest="parallel_sites", metavar="K",
+                       help="sites crawled at once, each in a forked worker process")
+        p.add_argument("--politeness", type=float, dest="politeness_delay", metavar="S",
+                       help="seconds between requests per site")
+        p.add_argument("--respect-robots", type=_true_or_false, metavar="true|false")
+        p.add_argument("--naive-sites", action="store_true", help="last-two-labels site mode")
 
-    corpus_args = argparse.ArgumentParser(add_help=False)
-    corpus_args.add_argument("--corpus", required=True)
-    formats = (report_mod.FORMAT_TEXT, report_mod.FORMAT_JSON, report_mod.FORMAT_CSV)
-    corpus_args.add_argument("--format", choices=formats, default=report_mod.FORMAT_TEXT)
-    corpus_args.add_argument("--out", help="write to file instead of stdout")
+    if p := add("analyze", "compute report tables over a corpus"):
+        p.set_defaults(run=_cmd_analyze)
+        _add_corpus_args(p)
+        p.add_argument("--table", choices=report_mod.TABLES, default="adoption")
 
-    p = sub.add_parser("analyze", parents=[corpus_args], help="compute report tables over a corpus")
-    p.set_defaults(run=_cmd_analyze)
-    p.add_argument("--table", choices=report_mod.TABLES, default="adoption")
+    if p := add("potential", "shortcut for analyze --table potential"):
+        p.set_defaults(run=_cmd_analyze, table="potential")
+        _add_corpus_args(p)
 
-    p = sub.add_parser("potential", parents=[corpus_args], help="shortcut for analyze --table potential")
-    p.set_defaults(run=_cmd_analyze, table="potential")
+    if p := add("recommend", "mitigations for a classified couple"):
+        p.set_defaults(run=_cmd_recommend)
+        p.add_argument(
+            "--relation", required=True, choices=report_mod.RELATIONS + (RELATION_UNRELATED,)
+        )
+        p.add_argument("--category", required=True, choices=report_mod.CATEGORIES)
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("recommend", help="mitigations for a classified couple")
-    p.set_defaults(run=_cmd_recommend)
-    p.add_argument(
-        "--relation", required=True, choices=report_mod.RELATIONS + (RELATION_UNRELATED,)
-    )
-    p.add_argument("--category", required=True, choices=report_mod.CATEGORIES)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-    p = sub.add_parser("fixtures", help="generate srcdoc/sandbox conformance pages")
-    p.set_defaults(run=_cmd_fixtures)
-    p.add_argument("--out", required=True)
-    p.add_argument("--beacon", default=DEFAULT_BEACON)
-    p.add_argument("--page-origin", default=DEFAULT_PAGE_ORIGIN)
-    p.add_argument("--page-csp", default=DEFAULT_PAGE_CSP)
+    if p := add("fixtures", "generate srcdoc/sandbox conformance pages"):
+        p.set_defaults(run=_cmd_fixtures)
+        p.add_argument("--out", required=True)
+        p.add_argument("--beacon", default=DEFAULT_BEACON)
+        p.add_argument("--page-origin", default=DEFAULT_PAGE_ORIGIN)
+        p.add_argument("--page-csp", default=DEFAULT_PAGE_CSP)
 
     return parser
 
@@ -303,7 +320,13 @@ def _cmd_fixtures(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so the first
+    # argument that is no option is the command argparse runs. A first
+    # positional that looks like an option, such as "-", is no command, and
+    # its "invalid choice" error needs only the names.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
         if not args.command:

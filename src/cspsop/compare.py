@@ -5,7 +5,8 @@ that is equal exactly when compare() finds no differing directive. A page
 can deliver several policies, and its policies compare as a multiset of
 keys: its set key is their sorted tuple. Set equality is equality of set
 keys, and the evidence of a difference is worked out from the two set
-keys alone, by Counter arithmetic on their leftovers.
+keys alone: from the policies each side has left over once equal keys
+are matched, and the (directive, sources) items those leftovers share.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .corpus import PageRecord
-from .normalize import NormalizedPolicy, normalize
+from .normalize import NormalizedPolicy, _key
 from .origins import Origin
-from .policy import parse_policy
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,18 @@ def difference_evidence(a: tuple, b: tuple) -> frozenset[str]:
     difference is pure multiplicity: the surplus deliveries themselves are
     the discrepancy, so everything they restrict is named.
     """
-    left, right = Counter(a) - Counter(b), Counter(b) - Counter(a)
-    leftovers = [dict(key) for key in (*left, *right)]
-    names = {name for directives in leftovers for name in directives}
+    balance = Counter(a)
+    balance.subtract(b)
+    left = [key for key, count in balance.items() if count > 0]
+    right = [key for key, count in balance.items() if count < 0]
+    leftovers = left + right
+    names = {name for key in leftovers for name, _ in key}
     if not left or not right:
         return frozenset(names)
-    return frozenset(
-        name for name in names
-        if len({directives.get(name) for directives in leftovers}) > 1
-    )
+    # A key names each directive once, so the leftovers all hold one value
+    # for a directive exactly when its (directive, sources) item is in each.
+    shared = set(leftovers[0]).intersection(*leftovers[1:])
+    return frozenset(names.difference(name for name, _ in shared))
 
 
 # NormalizedPolicy.key of one enforced policy text on one page origin.
@@ -77,12 +80,12 @@ def difference_evidence(a: tuple, b: tuple) -> frozenset[str]:
 # and the origin, since only enforced policies get here and delivery is
 # not read. A rule that read delivery (say, ignoring a meta-delivered
 # sandbox) would have to add it. Corpora are site-ordered, so a small LRU
-# catches the repeats. A miss normalizes the text token by token through
-# normalize's own token cache and parses no policy, so the records' own
-# policies stay unparsed.
+# catches the repeats. A miss builds the key in normalize's one pass over
+# the text, through its token cache, and parses no policy, so the
+# records' own policies stay unparsed.
 @lru_cache(maxsize=64)
 def _policy_key(raw: str, origin: Origin) -> tuple:
-    return normalize(parse_policy(raw), origin).key
+    return _key(raw, origin)
 
 
 def _enforced_key(record: PageRecord) -> tuple:

@@ -56,9 +56,16 @@ class NormalizedPolicy:
 _SELF = "self"
 _INLINE_EXCEPTION = "inline-exception"
 
+# The fallback directives' fill-ins when default-src is absent, as key
+# entries: sorted source tuples.
+_PERMISSIVE_FILL = {
+    name: tuple(sorted(PERMISSIVE_SCRIPT if name == "script-src" else PERMISSIVE_FETCH))
+    for name in FALLBACK_DIRECTIVES
+}
+
 
 @lru_cache(maxsize=256)
-def _token_strings(token: str, page_scheme: str) -> frozenset[str] | str:
+def _token_strings(token: str, page_scheme: str) -> tuple[str, ...] | str:
     """Canonical strings of one source token on a page of page_scheme, or
     the _SELF / _INLINE_EXCEPTION marker. A malformed token and 'none'
     contribute nothing. The page scheme is all a token's strings depend
@@ -68,13 +75,13 @@ def _token_strings(token: str, page_scheme: str) -> frozenset[str] | str:
     """
     expr = parse_source_expression(token)
     if expr is None or expr.keyword == "none":
-        return frozenset()
+        return ()
     if expr.kind in ("nonce", "hash"):
         return _INLINE_EXCEPTION  # opaque per delivery, cannot be compared across pages
     if expr.keyword == "self":
         return _SELF
     if expr.kind != "host-source":
-        return frozenset({expr.token()})  # a keyword, * or a scheme source names itself
+        return (expr.token(),)  # a keyword, * or a scheme source names itself
     # A host source, scheme-extended per CSP2: a schemeless host is reachable
     # over the page's scheme, and an http page also implies the https
     # upgrade. An explicit default port is erased, so http://h:80 and
@@ -85,59 +92,57 @@ def _token_strings(token: str, page_scheme: str) -> frozenset[str] | str:
         schemes = ("http", "https")
     else:
         schemes = (page_scheme,)
-    out = set()
-    for scheme in schemes:
-        port = expr.port
-        if port is not None and port.isdigit() and DEFAULT_PORTS.get(scheme) == int(port):
-            port = None
-        out.add(expr._replace(scheme=scheme, port=port).token())
-    return frozenset(out)
+    host, port, path = expr.host, expr.port, expr.path or ""
+    return tuple([
+        f"{scheme}://{host}{path}"
+        if port is None or port.isdigit() and DEFAULT_PORTS.get(scheme) == int(port)
+        else f"{scheme}://{host}:{port}{path}"
+        for scheme in schemes
+    ])
 
 
-def _source_set(tokens: list[str], page_origin: Origin) -> frozenset[str]:
-    """Apply the keyword/nonce/scheme rules to one source list."""
-    out: set[str] = set()
-    inline_exception = False
-    scheme = page_origin.scheme
-    for token in tokens:
-        strings = _token_strings(token, scheme)
-        if strings is _SELF:
-            out.add(page_origin.ascii_serialization())
-        elif strings is _INLINE_EXCEPTION:
-            inline_exception = True
-        else:
-            out |= strings
-    if inline_exception:
-        out.discard("'unsafe-inline'")  # ignored by CSP2 when a nonce or hash is present
-    return frozenset(out)
+def _key(raw: str, page_origin: Origin) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """NormalizedPolicy.key of the policy text raw on page_origin, in one
+    pass over the text.
 
-
-def normalize(policy: Policy, page_origin: Origin) -> NormalizedPolicy:
-    """Rewrite a policy into its canonical comparable form.
-
-    Works from the policy's text through the directive grammar and the
-    per-token cache, so it never builds the policy's parse tree. Each
-    missing fallback directive shares default-src's normalized set.
+    The text is split by the parser's own directive grammar and each source
+    token is looked up in the token cache, so no policy is parsed. A
+    directive's sources are sorted once; each missing fallback directive
+    takes default-src's sorted tuple, or a ready-made permissive one.
     Report-only policies normalize exactly like enforced ones.
     """
-    out: dict[str, frozenset[str]] = {}
-    for name, tokens in _directives(policy.raw):
+    out: dict[str, tuple[str, ...]] = {}
+    scheme, self_string = page_origin.scheme, page_origin.ascii_serialization()
+    for name, tokens in _directives(raw):
         if tokens is None:
             continue
         if name in VALUE_LIST_DIRECTIVES:
-            out[name] = frozenset(tokens)
-        else:
-            out[name] = _source_set(tokens, page_origin)
+            out[name] = tuple(sorted(set(tokens)))
+            continue
+        sources: set[str] = set()
+        inline_exception = False
+        for token in tokens:
+            strings = _token_strings(token, scheme)
+            if strings is _SELF:
+                sources.add(self_string)
+            elif strings is _INLINE_EXCEPTION:
+                inline_exception = True
+            else:
+                sources.update(strings)
+        if inline_exception:
+            sources.discard("'unsafe-inline'")  # ignored by CSP2 when a nonce or hash is present
+        out[name] = tuple(sorted(sources))
 
     default = out.get("default-src")
-    for name in FALLBACK_DIRECTIVES:
-        if name in out:
-            continue
-        if default is not None:
-            out[name] = default
-        elif name == "script-src":
-            out[name] = PERMISSIVE_SCRIPT
-        else:
-            out[name] = PERMISSIVE_FETCH
+    fill = _PERMISSIVE_FILL if default is None else dict.fromkeys(FALLBACK_DIRECTIVES, default)
+    return tuple(sorted((fill | out).items()))
 
-    return NormalizedPolicy(directives=out)
+
+def normalize(policy: Policy, page_origin: Origin) -> NormalizedPolicy:
+    """Rewrite a policy into its canonical comparable form: the sets of
+    its key (_key), so the two never disagree.
+
+    Works from the policy's text, so it never builds the policy's parse
+    tree. Report-only policies normalize exactly like enforced ones.
+    """
+    return NormalizedPolicy({name: frozenset(sources) for name, sources in _key(policy.raw, page_origin)})

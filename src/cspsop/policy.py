@@ -46,12 +46,14 @@ KNOWN_DIRECTIVES = frozenset(
 KEYWORDS = frozenset({"self", "unsafe-inline", "unsafe-eval", "none"})
 
 _BASE64_RE = re.compile(r"^[A-Za-z0-9+/\-_]+={0,2}$")
-_SCHEME_RE = re.compile(r"^([a-z][a-z0-9+.\-]*):$")
-_HOST_SOURCE_RE = re.compile(
-    r"^(?:([a-z][a-z0-9+.\-]*)://)?"  # optional scheme
+# One match tells a scheme source from a host source: the groups are the
+# scheme source's scheme, or the host source's scheme, host, port and path.
+_SCHEME_OR_HOST_SOURCE_RE = re.compile(
+    r"^(?:([a-z][a-z0-9+.\-]*):"  # a scheme source
+    r"|(?:([a-z][a-z0-9+.\-]*)://)?"  # or a host source: optional scheme
     r"((?:\*\.)?[a-z0-9\-_]+(?:\.[a-z0-9\-_]+)*)"  # host, maybe one leading *.
     r"(?::(\d+|\*))?"  # optional port or port wildcard
-    r"(/[^\s;,]*)?$"  # optional path
+    r"(/[^\s;,]*)?)$"  # optional path
 )
 
 
@@ -178,20 +180,18 @@ def parse_source_expression(token: str) -> SourceExpression | None:
                     return SourceExpression(kind="hash", hash_algorithm=algo, hash_value=value)
                 return None
         return None
-    lowered = token.lower()
-    m = _SCHEME_RE.match(lowered)
-    if m:
-        return SourceExpression(kind="scheme-source", scheme=m.group(1))
-    m = _HOST_SOURCE_RE.match(lowered)
-    if m:
-        scheme, host, port, path = m.groups()
-        if port is not None and port != "*" and not 1 <= int(port) <= 65535:
-            return None
-        # Path case matters; recover it from the original token.
-        if path:
-            path = token[len(token) - len(path):]
-        return SourceExpression(kind="host-source", scheme=scheme, host=host, port=port, path=path)
-    return None
+    m = _SCHEME_OR_HOST_SOURCE_RE.match(token.lower())
+    if m is None:
+        return None
+    scheme_source, scheme, host, port, path = m.groups()
+    if host is None:
+        return SourceExpression(kind="scheme-source", scheme=scheme_source)
+    if port is not None and port != "*" and not 1 <= int(port) <= 65535:
+        return None
+    # Path case matters; recover it from the original token.
+    if path:
+        path = token[len(token) - len(path):]
+    return SourceExpression("host-source", scheme, host, port, path)
 
 
 def parse_policy(raw: str, disposition: str = ENFORCE, delivery: str = HTTP_HEADER) -> Policy:

@@ -3,7 +3,8 @@
 Everything here is deliberately written as plain string/dict processing,
 separate from the library's data model, so that agreement between the two
 paths is meaningful. The normalization oracle applies the preprocessing
-rules one by one on raw tokens; the comparison oracle is naive set algebra;
+rules one by one on raw tokens; the comparison oracle is naive set algebra,
+and the evidence oracle works on one dict per leftover key;
 the corpus oracle recounts every table with an O(n^2) sweep over all pairs.
 The link oracle is the crawler's own earlier link filter, which did the
 same work with no shortcut.
@@ -12,6 +13,7 @@ same work with no shortcut.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from html.parser import HTMLParser
 from urllib.parse import urldefrag, urljoin, urlsplit
 
@@ -142,6 +144,21 @@ def oracle_compare(a: dict[str, set[str]], b: dict[str, set[str]]) -> set[str]:
         if (name in a) != (name in b) or a.get(name) != b.get(name):
             differing.add(name)
     return differing
+
+
+def oracle_difference_evidence(a: tuple, b: tuple) -> frozenset[str]:
+    """The evidence rule worked out one dict per leftover key: a directive
+    differs when the leftovers hold more than one value for it, absence
+    counting as a value."""
+    left, right = Counter(a) - Counter(b), Counter(b) - Counter(a)
+    leftovers = [dict(key) for key in (*left, *right)]
+    names = {name for directives in leftovers for name in directives}
+    if not left or not right:
+        return frozenset(names)
+    return frozenset(
+        name for name in names
+        if len({directives.get(name) for directives in leftovers}) > 1
+    )
 
 
 # Expected registrable domains against the bundled suffix snapshot, derived

@@ -142,6 +142,46 @@ def test_readme_synopsis_names_every_option():
     assert {command: flags for command, flags in missing.items() if flags} == {}
 
 
+def _main_result(argv: list[str], capsys) -> tuple:
+    """main's exit status, standard output and standard error for argv."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help exits through argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+COMMANDS = list(_subcommands())
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in COMMANDS),
+    *([command, "--no-such-flag"] for command in COMMANDS),
+    ["--help"], ["-h", "parse"], [], ["no-such-command"], ["-", "parse"], ["--", "parse"],
+    ["parse", "--policy"], ["potential"], ["analyze", "--table", "no-such-table", "--corpus", "c"],
+    ["crawl", "--seeds", "s", "--out", "o", "--max-pages", "x"],
+], ids=" ".join)
+def test_one_subcommand_parser_reads_like_the_full_parser(argv, capsys, monkeypatch):
+    one = _main_result(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert one == _main_result(argv, capsys)
+
+
+def test_main_builds_only_the_named_subcommand(monkeypatch, capsys):
+    built = []
+
+    def recording_build_parser(command=None):
+        built.append(build_parser(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    assert main(["parse", "--policy", "img-src 'self'"]) == EXIT_OK
+    subcommands = next(a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
+    assert [name for name, p in subcommands.choices.items() if p._actions] == ["parse"]
+    assert list(subcommands.choices) == COMMANDS
+
+
 class TestParse:
     def test_json_output(self, capsys):
         code = main(["parse", "--policy", "script-src 'self' cdn.net; sandbox allow-scripts"])

@@ -13,7 +13,7 @@ from cspsop.origins import Origin
 from cspsop.policy import parse_policy
 from grammar import policy_text
 from helpers import oracle_evidence
-from oracles import _multiset_equal, oracle_compare, oracle_normalize
+from oracles import _multiset_equal, oracle_compare, oracle_difference_evidence, oracle_normalize
 
 MAIN = Origin("http", "main.com", 80)
 
@@ -193,3 +193,27 @@ def test_policy_sets_match_oracle_on_fuzzed_lists(seeds, picks):
     key_a, key_b = tuple(sorted(p.key for p in a)), tuple(sorted(p.key for p in b))
     assert (key_a == key_b) == expected_equal
     assert difference_evidence(key_a, key_b) == frozenset(oracle_evidence(oracle_a, oracle_b))
+
+
+# Set keys over a few directives and values, so that leftovers often share
+# a directive's value, hold a repeated policy, or lack a directive.
+_EVIDENCE_KEYS = st.dictionaries(
+    st.sampled_from(["default-src", "img-src", "script-src", "sandbox"]),
+    st.sampled_from([(), ("*",), ("http://a.com", "https://a.com"), ("allow-scripts",)]),
+    max_size=3,
+).map(lambda directives: tuple(sorted(directives.items())))
+
+
+@st.composite
+def _set_key_pair(draw):
+    """Two set keys of 0-3 policies each, drawn from one pool of 1-4 keys."""
+    pool = draw(st.lists(_EVIDENCE_KEYS, min_size=1, max_size=4))
+    a, b = (tuple(sorted(draw(st.lists(st.sampled_from(pool), max_size=3)))) for _ in range(2))
+    return a, b
+
+
+@given(_set_key_pair())
+@settings(max_examples=500)
+def test_difference_evidence_matches_its_oracle(keys):
+    a, b = keys
+    assert difference_evidence(a, b) == oracle_difference_evidence(a, b)

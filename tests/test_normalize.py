@@ -1,13 +1,14 @@
 import random
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cspsop.normalize import (
     FALLBACK_DIRECTIVES,
     PERMISSIVE_FETCH,
     PERMISSIVE_SCRIPT,
+    _key,
     normalize,
 )
 from cspsop.origins import Origin
@@ -192,6 +193,34 @@ def test_matches_oracle_on_sample():
         result = normalize(parse_policy(text), origin)
         expected = oracle_normalize(text, origin.scheme, origin.host, origin.port)
         assert {k: set(v) for k, v in result.directives.items()} == expected, (text, origin)
+
+
+def _oracle_key(text: str, origin: Origin) -> tuple:
+    expected = oracle_normalize(text, origin.scheme, origin.host, origin.port)
+    return tuple(sorted((name, tuple(sorted(sources))) for name, sources in expected.items()))
+
+
+@given(st.integers(0, 2**32).map(lambda seed: policy_text(random.Random(seed))),
+       st.sampled_from(ORIGIN_POOL))
+@settings(max_examples=300)
+@example("script-src 'nonce-QUJD' 'unsafe-inline' a.com; style-src 'sha256-QUJD' 'unsafe-inline'", MAIN)
+@example("script-src 'NONCE-QUJD' 'unsafe-inline'; style-src 'SHA384-eHl6' 'unsafe-inline'", SECURE)
+@example("script-src 'nonce-' 'nonce-a!b' 'sha256-' 'sha512-%%' 'NONCE-' a.com", MAIN)  # malformed
+@example("'nonce-QUJD' a.com; 'sha256-QUJD' 'self'", MAIN)  # nonce and hash as directive names
+@example("report-uri 'nonce-QUJD' /r; script-src 'unsafe-inline'", MAIN)
+@example("script-src h:80 h:443 h:8080 https://h:443 http://h:443", MAIN)
+@example("script-src h:80 h:443 'self'", Origin("http", "main.com", 8080))
+@example("img-src *.h *.h:80 *.h:* h/p/ h:80/app.js https://*.h:443/x", MAIN)
+@example("script-src a.com; img-src 'self'; script-src b.com; img-src c.com; default-src d.com",
+         Origin("https", "main.com", 8443))
+def test_key_matches_oracle(text, origin):
+    assert _key(text, origin) == _oracle_key(text, origin)
+
+
+def test_malformed_nonce_keeps_unsafe_inline():
+    # A malformed nonce or hash is ignored, so it neutralizes nothing.
+    for token in ("'nonce-'", "'nonce-a!b'", "'sha256-'"):
+        assert dict(_key(f"script-src {token} 'unsafe-inline'", MAIN))["script-src"] == ("'unsafe-inline'",)
 
 
 def test_token_cache_keeps_origins_apart():

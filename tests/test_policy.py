@@ -117,6 +117,19 @@ class TestParsePolicy:
         origin = Origin("http", "main.com", 80)
         assert normalize(policy, origin) == normalize(parse_policy("script-src 'self'"), origin)
 
+    @pytest.mark.parametrize("token, parsed", [
+        ("a:", ("scheme-source", "a", None, None, None)),
+        ("HTTPS:", ("scheme-source", "https", None, None, None)),
+        ("a.b-c+d:", ("scheme-source", "a.b-c+d", None, None, None)),
+        ("a:80", ("host-source", None, "a", "80", None)),
+        ("x.com/a:b", ("host-source", None, "x.com", None, "/a:b")),
+        ("https://A.com:443/P", ("host-source", "https", "a.com", "443", "/P")),
+        ("data:x", None), ("http://a:", None), ("1a:", None), ("a::", None),
+    ])
+    def test_scheme_or_host_source(self, token, parsed):
+        expr = parse_source_expression(token)
+        assert (expr and (expr.kind, expr.scheme, expr.host, expr.port, expr.path)) == parsed
+
     def test_out_of_range_port_malformed(self):
         policy = parse_policy("script-src example.com:99999")
         assert policy.directives["script-src"].sources == ()

@@ -287,17 +287,17 @@ class TestLazyParsing:
             ]
         assert any(marker in p.raw for r in corpus for p in r.policies)
         compare_module = importlib.import_module("cspsop.compare")
-        real_normalize = compare_module.normalize
+        real_key = compare_module._key
         normalized = []
 
-        def recording_normalize(policy, origin):
-            normalized.append(policy.raw)
-            return real_normalize(policy, origin)
+        def recording_key(raw, origin):
+            normalized.append(raw)
+            return real_key(raw, origin)
 
         def no_parse(raw):
             raise AssertionError(f"parsed {raw!r}")
 
-        monkeypatch.setattr(compare_module, "normalize", recording_normalize)
+        monkeypatch.setattr(compare_module, "_key", recording_key)
         monkeypatch.setattr(policy_module, "_parse", no_parse)
         detector._policy_key.cache_clear()  # no keys memoized by earlier tests
         potential_violations(corpus)
