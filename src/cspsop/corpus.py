@@ -17,7 +17,7 @@ import zlib
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -214,27 +214,31 @@ def _parse_header(line: str) -> dict:
 # compressed bytes (zlib.error, or a BadGzipFile for a bad header or CRC),
 # or bytes that are not UTF-8.
 _UNREADABLE = (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError)
+_SAMPLE_BYTES = 1 << 16
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each line. Lines are split on bytes and then
-    decoded, so that a line that cannot be read or decoded is a
+def _lines(path: str | Path) -> Iterator[tuple[int, int, str]]:
+    """(line number, offset, text) of each line, where offset is the byte
+    offset of the line in the uncompressed corpus. Lines are split on bytes
+    and then decoded, so that a line that cannot be read or decoded is a
     CorpusFormatError that names it."""
     with _binary(path, "rb") as fh:
-        lineno = 1
+        lineno, offset = 1, 0
         try:
             for raw in fh:
-                yield lineno, raw.decode("utf-8")
+                yield lineno, offset, raw.decode("utf-8")
                 lineno += 1
+                offset += len(raw)
         except _UNREADABLE as exc:
             raise CorpusFormatError(str(exc), line=lineno) from exc
 
 
-def _objects(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, decoded JSON) of each record line, after the header."""
+def _objects(path: str | Path, start: int = 0) -> Iterator[tuple[int, int, object]]:
+    """(line number, offset, decoded JSON) of each record line, after the
+    header; from a start past 0, of the lines _from keeps."""
     with closing(_lines(path)) as lines:
-        _parse_header(next(lines, (1, ""))[1])
-        for lineno, line in lines:
+        _parse_header(next(lines, (1, 0, ""))[2])
+        for lineno, offset, line in _from(lines, start) if start else lines:
             line = line.strip()
             if not line:
                 continue
@@ -242,7 +246,22 @@ def _objects(path: str | Path) -> Iterator[tuple[int, object]]:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(str(exc), line=lineno) from exc
-            yield lineno, data
+            yield lineno, offset, data
+
+
+def _from(lines: Iterator[tuple[int, int, str]], start: int) -> Iterator[tuple[int, int, str]]:
+    """The lines that start at or after start, after the last line before
+    it that is not blank."""
+    before = None
+    for item in lines:
+        if item[1] >= start:
+            if before:
+                yield before
+            yield item
+            yield from lines
+            return
+        if item[2].strip():
+            before = item
 
 
 def _record(lineno: int, data: object, interned: dict[tuple[str, str, str], Policy]) -> PageRecord:
@@ -261,11 +280,13 @@ def iter_corpus(path: str | Path) -> Iterator[PageRecord]:
     only saves memory.
     """
     interned: dict[tuple[str, str, str], Policy] = {}
-    for lineno, data in _objects(path):
+    for lineno, _, data in _objects(path):
         yield _record(lineno, data, interned)
 
 
-def iter_site_groups(path: str | Path) -> Iterator[list[PageRecord]]:
+def iter_site_groups(
+    path: str | Path, start: int = 0, stop: int | None = None
+) -> Iterator[list[PageRecord]]:
     """Stream the corpus as site groups: runs of consecutive records with
     the same `site`, in corpus order. None and "" are different sites.
 
@@ -276,13 +297,51 @@ def iter_site_groups(path: str | Path) -> Iterator[list[PageRecord]]:
     groups; report.run_table detects that. A malformed line raises
     the same CorpusFormatError as iter_corpus, after the groups before it
     have been yielded.
-    """
-    def site(item: tuple[int, object]) -> object:
-        return item[1].get("site") if isinstance(item[1], dict) else None
 
-    for _, run in groupby(_objects(path), key=site):
+    start and stop, byte offsets in the uncompressed corpus, select the
+    groups whose first line starts at or after start and before stop, so
+    that ranges cut at the same offsets take each group exactly once.
+    """
+    def site(item: tuple[int, int, object]) -> object:
+        return item[2].get("site") if isinstance(item[2], dict) else None
+
+    for _, run in groupby(_objects(path, start), key=site):
+        first = next(run)
+        if stop is not None and first[1] >= stop:
+            return
+        if first[1] < start:  # the group began before the range
+            continue
         interned: dict[tuple[str, str, str], Policy] = {}
-        yield [_record(lineno, data, interned) for lineno, data in run]
+        yield [_record(lineno, data, interned) for lineno, _, data in chain((first,), run)]
+
+
+def size_hint(path: str | Path) -> tuple[int, int]:
+    """(bytes, records): the length of the uncompressed corpus and an
+    estimate of its record count. A corpus shorter than 64 KiB is read
+    whole; a longer one is estimated from the lines in its first 64 KiB.
+    A gzip corpus takes its length from its trailer, which records it
+    modulo 2**32 and for the last member only, so the hint can be wrong.
+    A path that is no regular file, or whose first 64 KiB cannot be read,
+    gives (0, 0): it is left to be read once, and to fail, as a whole.
+    """
+    path = Path(path)
+    if not path.is_file():
+        return 0, 0
+    try:
+        with _binary(path, "rb") as fh:
+            sample = fh.read(_SAMPLE_BYTES)
+    except _UNREADABLE:
+        return 0, 0
+    lines = sample.count(b"\n")
+    if len(sample) < _SAMPLE_BYTES:
+        return len(sample), max(lines - 1, 0)
+    if path.suffix != ".gz":
+        size = path.stat().st_size
+    else:
+        with open(path, "rb") as fh:
+            fh.seek(-4, io.SEEK_END)
+            size = int.from_bytes(fh.read(4), "little")
+    return size, size * lines // len(sample)
 
 
 def read_corpus(path: str | Path) -> list[PageRecord]:

@@ -45,15 +45,15 @@ KNOWN_DIRECTIVES = frozenset(
 
 KEYWORDS = frozenset({"self", "unsafe-inline", "unsafe-eval", "none"})
 
-_BASE64_RE = re.compile(r"^[A-Za-z0-9+/\-_]+={0,2}$")
+_BASE64_RE = re.compile(r"[A-Za-z0-9+/\-_]+={0,2}")
 # One match tells a scheme source from a host source: the groups are the
 # scheme source's scheme, or the host source's scheme, host, port and path.
 _SCHEME_OR_HOST_SOURCE_RE = re.compile(
-    r"^(?:([a-z][a-z0-9+.\-]*):"  # a scheme source
+    r"(?:([a-z][a-z0-9+.\-]*):"  # a scheme source
     r"|(?:([a-z][a-z0-9+.\-]*)://)?"  # or a host source: optional scheme
     r"((?:\*\.)?[a-z0-9\-_]+(?:\.[a-z0-9\-_]+)*)"  # host, maybe one leading *.
     r"(?::(\d+|\*))?"  # optional port or port wildcard
-    r"(/[^\s;,]*)?)$"  # optional path
+    r"(/[^\s;,]*)?)"  # optional path
 )
 
 
@@ -170,17 +170,17 @@ def parse_source_expression(token: str) -> SourceExpression | None:
             return SourceExpression(kind="keyword", keyword=low)
         if low.startswith("nonce-"):
             value = inner[len("nonce-"):]
-            if value and _BASE64_RE.match(value):
+            if value and _BASE64_RE.fullmatch(value):
                 return SourceExpression(kind="nonce", nonce_value=value)
             return None
         for algo in ("sha256", "sha384", "sha512"):
             if low.startswith(algo + "-"):
                 value = inner[len(algo) + 1:]
-                if value and _BASE64_RE.match(value):
+                if value and _BASE64_RE.fullmatch(value):
                     return SourceExpression(kind="hash", hash_algorithm=algo, hash_value=value)
                 return None
         return None
-    m = _SCHEME_OR_HOST_SOURCE_RE.match(token.lower())
+    m = _SCHEME_OR_HOST_SOURCE_RE.fullmatch(token.lower())
     if m is None:
         return None
     scheme_source, scheme, host, port, path = m.groups()

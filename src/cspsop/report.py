@@ -10,6 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
+import signal
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .compare import difference_evidence
-from .corpus import DEPTH_HOME, PageRecord, iter_site_groups, read_corpus
+from .corpus import DEPTH_HOME, PageRecord, iter_site_groups, read_corpus, size_hint
 from .detector import (
     CATEGORY_DIFFERENT,
     CATEGORY_NO_CSP,
@@ -319,10 +322,12 @@ def page_set_diffs(
     return out
 
 
+Table = Callable[[list[PageRecord]], Additive]
+
 # Each table over a list of records, in the order --table lists them. The
 # functions are looked up when a table runs, not when this dict is built, so
 # a wrapper installed on their modules later (bench/tracer.py) sees every call.
-TABLES: dict[str, Callable[[list[PageRecord]], Additive]] = {
+TABLES: dict[str, Table] = {
     "adoption": lambda records: adoption_stats(records),
     "violations": lambda records: violation_table(records),
     "potential": lambda records: potential_violations(records),
@@ -331,6 +336,145 @@ TABLES: dict[str, Callable[[list[PageRecord]], Additive]] = {
     ),
     "csp-per-site": lambda records: csp_per_site_distribution(records),
 }
+
+
+# The fewest records a range of site groups is given, so that a process
+# saves more than it costs to start (see run_table). Over the five tables on
+# 2 CPUs, two processes lost to one at 160 records, broke even at about 320
+# and were 1.35-1.5x faster at 640.
+MIN_RANGE_RECORDS = 300
+
+
+@dataclass
+class _Range:
+    """A table summed over a range of site groups, with what the
+    site-locality checks (see run_table) need of it: the sites, and the
+    hashes of the URLs and origins of its analyzable records and of the
+    same-site iframe URLs its groups leave unresolved."""
+
+    total: Additive
+    sites: set[str | None] = field(default_factory=set)
+    urls: set[int] = field(default_factory=set)
+    origins: set[int] = field(default_factory=set)
+    unresolved: set[int] = field(default_factory=set)
+
+    @classmethod
+    def of(cls, group: list[PageRecord], table: Table) -> _Range:
+        pages = analyzable_pages(group)
+        urls = {r.url for r in pages}
+        return cls(
+            table(group),
+            {group[0].site},
+            set(map(hash, urls)),
+            {hash(r.origin) for r in pages},
+            {hash(u) for r in pages for u in r.iframes_same_site if u not in urls},
+        )
+
+    def add(self, later: _Range) -> bool:
+        """Add the range that follows this one in the corpus, unless the two
+        share a site, a URL or an origin (checks 1, 2 and 4); False then."""
+        if not (self.sites.isdisjoint(later.sites) and self.urls.isdisjoint(later.urls)
+                and self.origins.isdisjoint(later.origins)):
+            return False
+        self.sites |= later.sites
+        self.urls |= later.urls
+        self.origins |= later.origins
+        self.unresolved |= later.unresolved
+        self.total += later.total
+        return True
+
+
+def _sum_range(path: str | Path, table: Table, start: int, stop: int | None) -> _Range | None:
+    """The table over the groups of one range, or None at the first group
+    that fails a check."""
+    part = _Range(table([]))
+    for group in iter_site_groups(path, start, stop):
+        if not part.add(_Range.of(group, table)):
+            return None
+    return part
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _ranges(path: str | Path) -> list[tuple[int, int | None]]:
+    """(start, stop) byte offsets of the ranges the corpus is split into:
+    one per usable CPU, but each of at least MIN_RANGE_RECORDS records by
+    corpus.size_hint, and of even length."""
+    size, records = size_hint(path)
+    count = max(1, min(_usable_cpus(), records // MIN_RANGE_RECORDS))
+    bounds = [size * i // count for i in range(count)]
+    return list(zip(bounds, [*bounds[1:], None]))
+
+
+def _fork_range(path: str | Path, table: Table, start: int, stop: int | None) -> tuple[int, int]:
+    """Start a child that sums one range and sends the pickled _Range, or
+    None, through a pipe; returns the child's pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        part = _sum_range(path, table, start, stop)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)  # whatever was raised: the child never returns
+
+
+def _collect(pid: int, read_end: int) -> _Range | None:
+    """A child's result, and the child reaped; None when the child ended
+    before it wrote the whole of one."""
+    try:
+        with open(read_end, "rb") as pipe:
+            return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _sum_ranges(path: str | Path, table: Table) -> _Range | None:
+    """The table over every range, the first in this process and each other
+    in a child of its own, added in corpus order; None when a range fails a
+    check, a child gives no result, or one cannot be started. Every child
+    is reaped on return, and one whose result is not needed is killed
+    first."""
+    (start, stop), *rest = _ranges(path)
+    children: list[tuple[int, int]] = []
+    try:
+        try:
+            for bounds in rest:
+                children.append(_fork_range(path, table, *bounds))
+        except OSError:  # out of processes or file descriptors
+            return None
+        part = _sum_range(path, table, start, stop)
+        while part is not None and children:
+            later = _collect(*children.pop(0))
+            if later is None or not part.add(later):
+                return None
+        return part
+    finally:
+        for pid, read_end in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_end)
+            os.waitpid(pid, 0)
 
 
 def run_table(path: str | Path, name: str) -> Additive:
@@ -351,33 +495,22 @@ def run_table(path: str | Path, name: str) -> Additive:
     are kept: a false match between two hashes costs a whole-corpus pass,
     never a wrong count. On the first failed check, or on check 3 after the
     last group, the corpus is read again and the table runs over all of it.
+
+    The groups are split into contiguous ranges, one per CPU this process
+    may run on, as long as each range holds MIN_RANGE_RECORDS records by
+    the size hint. This process sums the first range and a forked child
+    each other one; the ranges are checked together and added in corpus
+    order, so the table is the same for any split. A child that fails, for
+    a malformed line or any other reason, leaves its range without a
+    result, and the corpus is then read again as a whole, which raises
+    what one process would.
     """
     table = TABLES[name]
-    sites: set[str | None] = set()
-    urls: set[int] = set()
-    origins: set[int] = set()
-    unresolved: set[int] = set()
-    total = table([])
-    for group in iter_site_groups(path):
-        pages = analyzable_pages(group)
-        group_urls = {r.url for r in pages}
-        url_hashes = set(map(hash, group_urls))
-        origin_hashes = {hash(r.origin) for r in pages}
-        site = group[0].site
-        if site in sites or not urls.isdisjoint(url_hashes) or not origins.isdisjoint(origin_hashes):
-            break
-        sites.add(site)
-        urls |= url_hashes
-        origins |= origin_hashes
-        unresolved.update(
-            hash(u) for r in pages for u in r.iframes_same_site if u not in group_urls
-        )
-        total += table(group)
-    else:
-        if unresolved.isdisjoint(urls):
-            return total
+    part = _sum_ranges(path, table)
+    if part is not None and part.unresolved.isdisjoint(part.urls):
+        return part.total
     # Not site-local. Free what the per-group pass holds before the second read.
-    del total, group, pages, group_urls, url_hashes, origin_hashes, sites, urls, origins, unresolved
+    del part
     return table(read_corpus(path))
 
 

@@ -33,6 +33,11 @@ FALLBACK_ORDER = [
 _DEFAULT_PORT = {"http": "80", "https": "443"}
 _SCHEME_ONLY = re.compile(r"^[a-z][a-z0-9+.\-]*:$")
 _FULL_HOST = re.compile(r"^([a-z][a-z0-9+.\-]*)://([^/:]+)(?::(\d+|\*))?(/.*)?$")
+# CSP2: nonce-value and hash-value are both base64-value,
+# 1*( ALPHA / DIGIT / "+" / "/" )*2( "=" ). CSP3's base64url "-" and "_",
+# which the program also accepts, are drawn by no generator here.
+_NONCE_OR_HASH_PREFIXES = ("'nonce-", "'sha256-", "'sha384-", "'sha512-")
+_NONCE_OR_HASH = re.compile(r"'(?:nonce|sha256|sha384|sha512)-[A-Za-z0-9+/]+={0,2}'", re.IGNORECASE)
 
 
 def origin_string(scheme: str, host: str, port: int) -> str:
@@ -80,16 +85,13 @@ def normalize_token_list(
 ) -> set[str]:
     """Keyword substitution, nonce/hash removal, scheme/port extension."""
     lowered = [t.lower() for t in tokens]
-    has_secret = any(
-        t.startswith("'nonce-") or t.startswith("'sha256-")
-        or t.startswith("'sha384-") or t.startswith("'sha512-")
-        for t in lowered
-    )
+    has_secret = any(_NONCE_OR_HASH.fullmatch(t) for t in tokens)
     out: set[str] = set()
     for token in lowered:
         if token == "'none'":
             continue
-        if token.startswith("'nonce-") or token.startswith(("'sha256-", "'sha384-", "'sha512-")):
+        # A nonce or hash source is dropped, and so is a malformed one.
+        if token.startswith(_NONCE_OR_HASH_PREFIXES):
             continue
         if token == "'unsafe-inline'":
             if not has_secret:

@@ -206,6 +206,9 @@ def _oracle_key(text: str, origin: Origin) -> tuple:
 @example("script-src 'nonce-QUJD' 'unsafe-inline' a.com; style-src 'sha256-QUJD' 'unsafe-inline'", MAIN)
 @example("script-src 'NONCE-QUJD' 'unsafe-inline'; style-src 'SHA384-eHl6' 'unsafe-inline'", SECURE)
 @example("script-src 'nonce-' 'nonce-a!b' 'sha256-' 'sha512-%%' 'NONCE-' a.com", MAIN)  # malformed
+@example("script-src 'nonce-' 'unsafe-inline'", MAIN)  # malformed: no secret
+@example("script-src 'sha256-' 'unsafe-inline'", MAIN)
+@example("script-src 'nonce-a!b' 'unsafe-inline'", MAIN)
 @example("'nonce-QUJD' a.com; 'sha256-QUJD' 'self'", MAIN)  # nonce and hash as directive names
 @example("report-uri 'nonce-QUJD' /r; script-src 'unsafe-inline'", MAIN)
 @example("script-src h:80 h:443 h:8080 https://h:443 http://h:443", MAIN)

@@ -158,6 +158,12 @@ class TestSourceExpression:
         assert parse_source_expression("http://") is None
         assert parse_source_expression("foo.*.com") is None
 
+    # A token ends at its last character: a newline after it is no part of
+    # a scheme, a host or a base64 value.
+    @pytest.mark.parametrize("token", ["https:\n", "a.com\n", "'nonce-abc\n'", "'sha256-abc\n'"])
+    def test_trailing_newline_rejected(self, token):
+        assert parse_source_expression(token) is None
+
 
 class TestExtractPolicies:
     def test_report_only_header(self):

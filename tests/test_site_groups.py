@@ -7,8 +7,13 @@ used) or not (the command falls back to one group holding every record).
 
 from __future__ import annotations
 
+import errno
 import gc
+import gzip
+import os
+import pickle
 import random
+import signal
 import weakref
 from dataclasses import replace
 
@@ -331,3 +336,283 @@ def test_policy_sharing_stops_at_site_boundaries(tmp_path):
     (x1, x2), (y,) = iter_site_groups(path)
     assert x1.policies[0] is x2.policies[0]
     assert y.policies[0] is not x1.policies[0]
+
+
+# Across processes: run_table splits a corpus into ranges of site groups,
+# the first summed in the command process and each other in a forked child.
+# Every corpus here is below MIN_RANGE_RECORDS, so the split is forced.
+
+def assert_no_children():
+    """Every child the command forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def run_cli(argv):
+    """main(argv), checked to leave no child and no pipe behind."""
+    fds = open_fds()
+    try:
+        return main(argv)
+    finally:
+        assert_no_children()
+        assert open_fds() == fds
+
+
+@pytest.fixture(params=[2, 3])
+def processes(request, monkeypatch):
+    monkeypatch.setattr(report, "MIN_RANGE_RECORDS", 1)
+    monkeypatch.setattr(report, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def range_sites(path):
+    """The sites of each range's groups, as run_table would split path."""
+    return [[group[0].site for group in iter_site_groups(path, start, stop)]
+            for start, stop in report._ranges(path)]
+
+
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("case", CASES)
+def test_split_matches_one_process(case, table, processes, tmp_path, capsysbinary, read_calls):
+    build, streamed = CASES[case]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(build(), path)
+    argv, list_function = TABLES[table]
+    expected = list_function(read_corpus(path))
+    read_calls.clear()
+    for fmt in FORMATS:
+        code = run_cli(["analyze", "--corpus", str(path), "--format", fmt, "--table", *argv])
+        assert code == EXIT_OK
+        assert capsysbinary.readouterr().out == render(expected, fmt), fmt
+    # A site-local corpus stays local however it is split.
+    assert len(read_calls) == (0 if streamed else len(FORMATS))
+
+
+def test_forced_split_uses_every_process(processes, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(sorted_crawl(), path)
+    sites = range_sites(path)
+    assert len(sites) == processes and all(sites)
+    assert [site for part in sites for site in part] == [
+        group[0].site for group in iter_site_groups(path)
+    ]
+
+
+def padded(tmp_path, records, suffix):
+    """The corpus of records with blank lines of several kinds between its
+    records, written to a file with the given suffix."""
+    clean = tmp_path / "clean.jsonl"
+    write_corpus(records, clean)
+    lines = clean.read_bytes().splitlines(keepends=True)
+    path = tmp_path / f"padded{suffix}"
+    # Each is blank as text; the fourth and fifth are not blank as bytes
+    # (bytes.strip() keeps U+3000 and \x1c), and the last adds no line.
+    blanks = [b"\n", b"  \n", b"\t\r\n", "\u3000\n".encode(), b"\x1c\n", b""]
+    with corpus._binary(path, "wb") as out:
+        out.write(lines[0])
+        for index, line in enumerate(lines[1:]):
+            out.write(blanks[index % len(blanks)])
+            out.write(line)
+    return path
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+def test_ranges_cut_anywhere_take_each_group_once(suffix, tmp_path):
+    # A cut at, just before or just after every line start, blank lines
+    # included: the two ranges hold every group once, in corpus order.
+    path = padded(tmp_path, make_violation_corpus() + make_adoption_corpus(), suffix)
+    whole = [[r.url for r in group] for group in iter_site_groups(path)]
+    text = gzip.decompress(path.read_bytes()) if suffix == ".jsonl.gz" else path.read_bytes()
+    starts = [0] + [i + 1 for i, byte in enumerate(text) if byte == ord("\n")]
+    for cut in sorted({max(1, s + d) for s in starts for d in (-1, 0, 1)}):
+        first = [[r.url for r in group] for group in iter_site_groups(path, 0, cut)]
+        rest = [[r.url for r in group] for group in iter_site_groups(path, cut)]
+        assert first + rest == whole, cut
+
+
+def test_size_hint(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(make_corpus(seed=2, sites=3), path)
+    assert corpus.size_hint(path) == (path.stat().st_size, 60)
+    assert corpus.size_hint(tmp_path) == (0, 0)  # no regular file
+    records = make_corpus(seed=3, sites=20, pages_per_site=30)
+    for suffix in (".jsonl", ".jsonl.gz"):
+        path = tmp_path / f"large{suffix}"
+        write_corpus(records, path)
+        text = gzip.decompress(path.read_bytes()) if suffix == ".jsonl.gz" else path.read_bytes()
+        size, estimate = corpus.size_hint(path)
+        assert size == len(text) > 1 << 16
+        assert 0.8 * len(records) < estimate < 1.2 * len(records)
+
+
+def test_process_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert report._usable_cpus() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert report._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert report._usable_cpus() == 4
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert report._usable_cpus() == 1
+
+
+def test_ranges_hold_the_minimum_records(monkeypatch, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(make_corpus(seed=2, sites=3), path)  # 60 records
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 8)
+    for minimum, count in ((61, 1), (60, 1), (30, 2), (20, 3), (7, 8)):
+        monkeypatch.setattr(report, "MIN_RANGE_RECORDS", minimum)
+        ranges = report._ranges(path)
+        assert len(ranges) == count, minimum
+        assert ranges[0][0] == 0 and ranges[-1][1] is None
+        assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+
+
+@pytest.mark.parametrize("build,spanning", [
+    (split_site, "s.com"),  # check 1
+    (redirected_iframe, None),  # check 3: main.com's iframe has its record under elsewhere.net
+])
+@pytest.mark.parametrize("table", TABLES)
+def test_fallback_across_ranges(build, spanning, table, tmp_path, monkeypatch, capsysbinary,
+                                read_calls):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(build(), path)
+    monkeypatch.setattr(report, "MIN_RANGE_RECORDS", 1)
+    monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
+    first, second = range_sites(path)
+    if spanning:
+        assert spanning in first and spanning in second
+    else:
+        assert (first, second) == (["elsewhere.net"], ["main.com"])
+    argv, list_function = TABLES[table]
+    for fmt in FORMATS:
+        assert run_cli(["analyze", "--corpus", str(path), "--format", fmt, "--table", *argv]) == 0
+        assert capsysbinary.readouterr().out == render(list_function(build()), fmt)
+    assert len(read_calls) == len(FORMATS)
+
+
+def corrupted(tmp_path, damage):
+    """A corpus of 4 sites whose last site holds a damaged line."""
+    records = make_corpus(seed=2, sites=4, pages_per_site=5)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(records, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[18] = damage(lines[18])  # line 19, in the fourth site
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+DAMAGE = {
+    "malformed": lambda line: line[:40] + b"\n",
+    "undecodable": lambda line: line.replace(b'"url":"', b'"url":"\xff\xfe', 1),
+    "missing-field": lambda line: line.replace(b'"url":', b'"link":', 1),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("table", TABLES)
+def test_bad_line_in_a_child_range(damage, table, processes, tmp_path, capsys):
+    path = corrupted(tmp_path, DAMAGE[damage])
+    with pytest.raises(CorpusFormatError) as whole_corpus:
+        read_corpus(path)
+    assert whole_corpus.value.line == 19
+    *_, (start, _) = report._ranges(path)
+    assert sum(map(len, path.read_bytes().splitlines(keepends=True)[:18])) >= start
+    argv, _ = TABLES[table]
+    assert run_cli(["analyze", "--corpus", str(path), "--table", *argv]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {whole_corpus.value}\n")
+
+
+def test_bad_line_in_the_first_range(processes, tmp_path, capsys):
+    path = corrupted(tmp_path, lambda line: line)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:40] + b"\n"  # line 3, in the first site
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CorpusFormatError) as whole_corpus:
+        read_corpus(path)
+    assert whole_corpus.value.line == 3
+    assert run_cli(["analyze", "--corpus", str(path), "--table", "violations"]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {whole_corpus.value}\n")
+
+
+def _die_in_child(function, how):
+    command_process = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() == command_process:
+            return function(*args, **kwargs)
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(0)  # "exits": status 0, but no result written
+
+    return wrapped
+
+
+@pytest.mark.parametrize("how", ["killed", "exits"])
+@pytest.mark.parametrize("table", TABLES)
+def test_child_without_result(how, table, processes, tmp_path, monkeypatch, capsysbinary,
+                              read_calls):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(sorted_crawl(), path)
+    monkeypatch.setattr(report, "_sum_range", _die_in_child(report._sum_range, how))
+    argv, list_function = TABLES[table]
+    for fmt in FORMATS:
+        assert run_cli(["analyze", "--corpus", str(path), "--format", fmt, "--table", *argv]) == 0
+        assert capsysbinary.readouterr().out == render(list_function(sorted_crawl()), fmt)
+    assert len(read_calls) == len(FORMATS)
+
+
+def test_truncated_result(processes, tmp_path, monkeypatch, capsysbinary, read_calls):
+    # A child that dies while it writes its result.
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(sorted_crawl(), path)
+
+    def half_dump(obj, file, protocol):
+        data = pickle.dumps(obj, protocol)
+        file.write(data[:len(data) // 2])
+        file.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(report.pickle, "dump", half_dump)
+    assert run_cli(["analyze", "--corpus", str(path), "--format", "json", "--table", "potential"]) == 0
+    assert capsysbinary.readouterr().out == render(potential_violations(sorted_crawl()), "json")
+    assert len(read_calls) == 1
+
+
+def test_fork_failure(processes, tmp_path, monkeypatch, capsysbinary, read_calls):
+    # The last child cannot be started: out of processes.
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(sorted_crawl(), path)
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        if len(forks) == processes - 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert run_cli(["analyze", "--corpus", str(path), "--format", "json", "--table", "potential"]) == 0
+    assert capsysbinary.readouterr().out == render(potential_violations(sorted_crawl()), "json")
+    assert len(read_calls) == 1
+
+
+def test_error_in_the_command_process_reaps_every_child(processes, tmp_path, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(sorted_crawl(), path)
+    command_process = os.getpid()
+    table = report.TABLES["violations"]
+
+    def failing(records):
+        if os.getpid() == command_process and records:
+            raise KeyboardInterrupt
+        return table(records)
+
+    monkeypatch.setitem(report.TABLES, "violations", failing)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["analyze", "--corpus", str(path), "--table", "violations"])
