@@ -17,7 +17,7 @@ import zlib
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -214,31 +214,38 @@ def _parse_header(line: str) -> dict:
 # compressed bytes (zlib.error, or a BadGzipFile for a bad header or CRC),
 # or bytes that are not UTF-8.
 _UNREADABLE = (EOFError, zlib.error, gzip.BadGzipFile, UnicodeDecodeError)
-_SAMPLE_BYTES = 1 << 16
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, int, str]]:
+def _lines(path: str | Path, start: int = 0) -> Iterator[tuple[int | None, int, str]]:
     """(line number, offset, text) of each line, where offset is the byte
     offset of the line in the uncompressed corpus. Lines are split on bytes
     and then decoded, so that a line that cannot be read or decoded is a
-    CorpusFormatError that names it."""
+    CorpusFormatError that names it. From a start past the header, the
+    header is followed by the lines at or after start, without a number:
+    the file is sought to start - 1, and the rest of that line is dropped
+    undecoded."""
     with _binary(path, "rb") as fh:
         lineno, offset = 1, 0
         try:
             for raw in fh:
                 yield lineno, offset, raw.decode("utf-8")
-                lineno += 1
                 offset += len(raw)
+                if offset < start:  # at most once, after the header
+                    lineno = None
+                    fh.seek(start - 1)
+                    offset = start - 1 + len(fh.readline())
+                elif lineno:
+                    lineno += 1
         except _UNREADABLE as exc:
             raise CorpusFormatError(str(exc), line=lineno) from exc
 
 
-def _objects(path: str | Path, start: int = 0) -> Iterator[tuple[int, int, object]]:
-    """(line number, offset, decoded JSON) of each record line, after the
-    header; from a start past 0, of the lines _from keeps."""
-    with closing(_lines(path)) as lines:
+def _objects(path: str | Path, start: int = 0) -> Iterator[tuple[int | None, int, object]]:
+    """(line number, offset, decoded JSON) of each record line that _lines
+    gives after the header."""
+    with closing(_lines(path, start)) as lines:
         _parse_header(next(lines, (1, 0, ""))[2])
-        for lineno, offset, line in _from(lines, start) if start else lines:
+        for lineno, offset, line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -249,22 +256,7 @@ def _objects(path: str | Path, start: int = 0) -> Iterator[tuple[int, int, objec
             yield lineno, offset, data
 
 
-def _from(lines: Iterator[tuple[int, int, str]], start: int) -> Iterator[tuple[int, int, str]]:
-    """The lines that start at or after start, after the last line before
-    it that is not blank."""
-    before = None
-    for item in lines:
-        if item[1] >= start:
-            if before:
-                yield before
-            yield item
-            yield from lines
-            return
-        if item[2].strip():
-            before = item
-
-
-def _record(lineno: int, data: object, interned: dict[tuple[str, str, str], Policy]) -> PageRecord:
+def _record(lineno: int | None, data: object, interned: dict[tuple[str, str, str], Policy]) -> PageRecord:
     try:
         return record_from_dict(data, interned)
     except (KeyError, TypeError, ValueError) as exc:
@@ -299,49 +291,49 @@ def iter_site_groups(
     have been yielded.
 
     start and stop, byte offsets in the uncompressed corpus, select the
-    groups whose first line starts at or after start and before stop, so
-    that ranges cut at the same offsets take each group exactly once.
+    groups for which the last non-blank line before the group, the header
+    for the first group, starts at or after start and before stop, so that
+    ranges cut at the same offsets take each group exactly once. A range
+    that begins past the header reads no line before start (see _lines):
+    it skips, without building records, the run of records it lands in,
+    which the range before it reads to its end.
     """
-    def site(item: tuple[int, int, object]) -> object:
+    def site(item: tuple[int | None, int, object]) -> object:
         return item[2].get("site") if isinstance(item[2], dict) else None
 
+    # Where the last non-blank line before the run starts: the header's 0,
+    # or before start for the run a later range lands in.
+    before = start and start - 1
     for _, run in groupby(_objects(path, start), key=site):
-        first = next(run)
-        if stop is not None and first[1] >= stop:
+        if stop is not None and before >= stop:
             return
-        if first[1] < start:  # the group began before the range
-            continue
+        owned, group = before >= start, []
         interned: dict[tuple[str, str, str], Policy] = {}
-        yield [_record(lineno, data, interned) for lineno, _, data in chain((first,), run)]
+        for lineno, before, data in run:  # before ends at the run's last line
+            if owned:
+                group.append(_record(lineno, data, interned))
+        if owned:
+            yield group
 
 
-def size_hint(path: str | Path) -> tuple[int, int]:
-    """(bytes, records): the length of the uncompressed corpus and an
-    estimate of its record count. A corpus shorter than 64 KiB is read
-    whole; a longer one is estimated from the lines in its first 64 KiB.
-    A gzip corpus takes its length from its trailer, which records it
-    modulo 2**32 and for the last member only, so the hint can be wrong.
-    A path that is no regular file, or whose first 64 KiB cannot be read,
-    gives (0, 0): it is left to be read once, and to fail, as a whole.
+def size_hint(path: str | Path) -> int:
+    """The length of the uncompressed corpus: the file's size, or for a
+    gzip corpus the length its trailer records, which is modulo 2**32 and
+    of the last member only, so the hint can be wrong. A path that is no
+    regular file, or a gzip file too short to hold a trailer, gives 0: it
+    is left to be read once, and to fail, as a whole.
     """
     path = Path(path)
     if not path.is_file():
-        return 0, 0
-    try:
-        with _binary(path, "rb") as fh:
-            sample = fh.read(_SAMPLE_BYTES)
-    except _UNREADABLE:
-        return 0, 0
-    lines = sample.count(b"\n")
-    if len(sample) < _SAMPLE_BYTES:
-        return len(sample), max(lines - 1, 0)
+        return 0
+    size = path.stat().st_size
     if path.suffix != ".gz":
-        size = path.stat().st_size
-    else:
-        with open(path, "rb") as fh:
-            fh.seek(-4, io.SEEK_END)
-            size = int.from_bytes(fh.read(4), "little")
-    return size, size * lines // len(sample)
+        return size
+    if size < 4:
+        return 0
+    with open(path, "rb") as fh:
+        fh.seek(-4, io.SEEK_END)
+        return int.from_bytes(fh.read(4), "little")
 
 
 def read_corpus(path: str | Path) -> list[PageRecord]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .compare import _enforced_key, _policy_key, difference_evidence  # noqa: F401
+from .compare import _enforced_key, difference_evidence
 from .corpus import STATUS_OK, PageRecord
 from .origins import Origin
 

@@ -338,11 +338,11 @@ TABLES: dict[str, Table] = {
 }
 
 
-# The fewest records a range of site groups is given, so that a process
-# saves more than it costs to start (see run_table). Over the five tables on
-# 2 CPUs, two processes lost to one at 160 records, broke even at about 320
-# and were 1.35-1.5x faster at 640.
-MIN_RANGE_RECORDS = 300
+# The fewest bytes of uncompressed corpus a range is given, so that a
+# process saves more than it costs to start (see run_table). On 2 CPUs a
+# split of two paid from about 200 KB of analyze-distinct corpus and 350 KB
+# of analyze-shared; 256 KiB is about 300 analyze-distinct records.
+MIN_RANGE_BYTES = 1 << 18
 
 
 @dataclass
@@ -406,10 +406,10 @@ def _usable_cpus() -> int:
 
 def _ranges(path: str | Path) -> list[tuple[int, int | None]]:
     """(start, stop) byte offsets of the ranges the corpus is split into:
-    one per usable CPU, but each of at least MIN_RANGE_RECORDS records by
-    corpus.size_hint, and of even length."""
-    size, records = size_hint(path)
-    count = max(1, min(_usable_cpus(), records // MIN_RANGE_RECORDS))
+    one per usable CPU, but each of at least MIN_RANGE_BYTES of the length
+    corpus.size_hint gives, and of even length."""
+    size = size_hint(path)
+    count = max(1, min(_usable_cpus(), size // MIN_RANGE_BYTES))
     bounds = [size * i // count for i in range(count)]
     return list(zip(bounds, [*bounds[1:], None]))
 
@@ -497,10 +497,12 @@ def run_table(path: str | Path, name: str) -> Additive:
     last group, the corpus is read again and the table runs over all of it.
 
     The groups are split into contiguous ranges, one per CPU this process
-    may run on, as long as each range holds MIN_RANGE_RECORDS records by
-    the size hint. This process sums the first range and a forked child
-    each other one; the ranges are checked together and added in corpus
-    order, so the table is the same for any split. A child that fails, for
+    may run on, as long as each range holds MIN_RANGE_BYTES of the length
+    of the uncompressed corpus (corpus.size_hint: the file's size, or the
+    length a gzip trailer records). This process sums the first range and
+    a forked child each other one, which seeks to the start of its range;
+    the ranges are checked together and added in corpus order, so the
+    table is the same for any split. A child that fails, for
     a malformed line or any other reason, leaves its range without a
     result, and the corpus is then read again as a whole, which raises
     what one process would.

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspsop.compare import _policy_key
 from cspsop.detector import (
     CATEGORY_DIFFERENT,
     CATEGORY_NO_CSP,
@@ -15,7 +16,6 @@ from cspsop.detector import (
     RELATION_UNRELATED,
     PairClassification,
     _enforced_key,
-    _policy_key,
     classify_pair,
     potential_violations,
     recommend,

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from cspsop import detector
 from cspsop import policy as policy_module
+from cspsop.compare import _policy_key
 from cspsop.corpus import read_corpus, write_corpus
 from cspsop.detector import (
     CATEGORY_DIFFERENT,
@@ -299,7 +299,7 @@ class TestLazyParsing:
 
         monkeypatch.setattr(compare_module, "_key", recording_key)
         monkeypatch.setattr(policy_module, "_parse", no_parse)
-        detector._policy_key.cache_clear()  # no keys memoized by earlier tests
+        _policy_key.cache_clear()  # no keys memoized by earlier tests
         potential_violations(corpus)
         build_pairs(corpus)
         enforced = {p.raw for r in analyzable_pages(corpus) for p in r.enforced_policies()}
@@ -317,7 +317,7 @@ class TestLazyParsing:
             raise AssertionError(f"parsed {raw!r}")
 
         monkeypatch.setattr(policy_module, "_parse", no_parse)
-        detector._policy_key.cache_clear()  # no keys memoized from the in-memory run
+        _policy_key.cache_clear()  # no keys memoized from the in-memory run
         loaded = read_corpus(path)
         assert (potential_violations(loaded), build_pairs(loaded)) == expected
 

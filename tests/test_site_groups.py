@@ -79,12 +79,14 @@ def shuffled():
 def redirected_iframe():
     # main.com embeds /moved, which redirected to elsewhere.net: its record
     # carries the other site and sorts under it.
+    # elsewhere.net, which sorts first, is the longer site, so that a cut
+    # at the middle of the corpus gives main.com to a second range.
     moved = replace(make_page("http://elsewhere.net/", CSP_B), url="http://main.com/moved")
     return crawler_sorted([
         make_page("http://main.com/", CSP_A, iframes=["http://main.com/moved"]),
         make_page("http://main.com/b", CSP_A),
         moved,
-        make_page("http://elsewhere.net/x", CSP_A),
+        *(make_page(f"http://elsewhere.net/{name}", CSP_A) for name in "xyz"),
     ])
 
 
@@ -106,9 +108,12 @@ def origin_under_two_sites():
 
 
 def split_site():
-    # s.com's records come in two runs, with another site between them.
+    # s.com's records come in two runs, with another site between them. The
+    # first run is the longer, so that a cut at the middle of the corpus
+    # gives the second run to a second range.
     return [
         make_page("http://a.s.com/", CSP_A),
+        make_page("http://a.s.com/x", CSP_A),
         make_page("http://t.com/"),
         make_page("http://b.s.com/", CSP_B),
     ]
@@ -340,7 +345,7 @@ def test_policy_sharing_stops_at_site_boundaries(tmp_path):
 
 # Across processes: run_table splits a corpus into ranges of site groups,
 # the first summed in the command process and each other in a forked child.
-# Every corpus here is below MIN_RANGE_RECORDS, so the split is forced.
+# Every corpus here is below MIN_RANGE_BYTES, so the split is forced.
 
 def assert_no_children():
     """Every child the command forked has been reaped."""
@@ -364,7 +369,7 @@ def run_cli(argv):
 
 @pytest.fixture(params=[2, 3])
 def processes(request, monkeypatch):
-    monkeypatch.setattr(report, "MIN_RANGE_RECORDS", 1)
+    monkeypatch.setattr(report, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(report, "_usable_cpus", lambda: request.param)
     return request.param
 
@@ -379,17 +384,18 @@ def range_sites(path):
 @pytest.mark.parametrize("case", CASES)
 def test_split_matches_one_process(case, table, processes, tmp_path, capsysbinary, read_calls):
     build, streamed = CASES[case]
-    path = tmp_path / "corpus.jsonl"
-    write_corpus(build(), path)
     argv, list_function = TABLES[table]
-    expected = list_function(read_corpus(path))
-    read_calls.clear()
-    for fmt in FORMATS:
-        code = run_cli(["analyze", "--corpus", str(path), "--format", fmt, "--table", *argv])
-        assert code == EXIT_OK
-        assert capsysbinary.readouterr().out == render(expected, fmt), fmt
-    # A site-local corpus stays local however it is split.
-    assert len(read_calls) == (0 if streamed else len(FORMATS))
+    for suffix in (".jsonl", ".jsonl.gz"):  # a child seeks through GzipFile in the second
+        path = tmp_path / f"corpus{suffix}"
+        write_corpus(build(), path)
+        expected = list_function(read_corpus(path))
+        read_calls.clear()
+        for fmt in FORMATS:
+            code = run_cli(["analyze", "--corpus", str(path), "--format", fmt, "--table", *argv])
+            assert code == EXIT_OK
+            assert capsysbinary.readouterr().out == render(expected, fmt), (suffix, fmt)
+        # A site-local corpus stays local however it is split.
+        assert len(read_calls) == (0 if streamed else len(FORMATS))
 
 
 def test_forced_split_uses_every_process(processes, tmp_path):
@@ -435,18 +441,17 @@ def test_ranges_cut_anywhere_take_each_group_once(suffix, tmp_path):
 
 
 def test_size_hint(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    write_corpus(make_corpus(seed=2, sites=3), path)
-    assert corpus.size_hint(path) == (path.stat().st_size, 60)
-    assert corpus.size_hint(tmp_path) == (0, 0)  # no regular file
-    records = make_corpus(seed=3, sites=20, pages_per_site=30)
     for suffix in (".jsonl", ".jsonl.gz"):
-        path = tmp_path / f"large{suffix}"
-        write_corpus(records, path)
-        text = gzip.decompress(path.read_bytes()) if suffix == ".jsonl.gz" else path.read_bytes()
-        size, estimate = corpus.size_hint(path)
-        assert size == len(text) > 1 << 16
-        assert 0.8 * len(records) < estimate < 1.2 * len(records)
+        path = tmp_path / f"corpus{suffix}"
+        write_corpus(make_corpus(seed=2, sites=3), path)
+        if suffix == ".jsonl.gz":
+            assert corpus.size_hint(path) == len(gzip.decompress(path.read_bytes()))
+        else:
+            assert corpus.size_hint(path) == path.stat().st_size
+    assert corpus.size_hint(tmp_path) == 0  # no regular file
+    short = tmp_path / "short.jsonl.gz"
+    short.write_bytes(gzip.compress(b"")[:3])  # too short for a trailer
+    assert corpus.size_hint(short) == 0
 
 
 def test_process_count_follows_cpu_affinity(monkeypatch):
@@ -461,16 +466,20 @@ def test_process_count_follows_cpu_affinity(monkeypatch):
     assert report._usable_cpus() == 1
 
 
-def test_ranges_hold_the_minimum_records(monkeypatch, tmp_path):
+def test_ranges_hold_the_minimum_bytes(monkeypatch, tmp_path):
     path = tmp_path / "corpus.jsonl"
-    write_corpus(make_corpus(seed=2, sites=3), path)  # 60 records
+    write_corpus(make_corpus(seed=2, sites=3), path)
+    size = path.stat().st_size
     monkeypatch.setattr(report, "_usable_cpus", lambda: 8)
-    for minimum, count in ((61, 1), (60, 1), (30, 2), (20, 3), (7, 8)):
-        monkeypatch.setattr(report, "MIN_RANGE_RECORDS", minimum)
+    for minimum, count in ((size + 1, 1), (size, 1), (size // 2, 2), (size // 3, 3), (size // 8, 8),
+                           (1, 8)):
+        monkeypatch.setattr(report, "MIN_RANGE_BYTES", minimum)
         ranges = report._ranges(path)
         assert len(ranges) == count, minimum
         assert ranges[0][0] == 0 and ranges[-1][1] is None
         assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+        if count > 1:
+            assert min((stop or size) - start for start, stop in ranges) >= minimum
 
 
 @pytest.mark.parametrize("build,spanning", [
@@ -482,7 +491,7 @@ def test_fallback_across_ranges(build, spanning, table, tmp_path, monkeypatch, c
                                 read_calls):
     path = tmp_path / "corpus.jsonl"
     write_corpus(build(), path)
-    monkeypatch.setattr(report, "MIN_RANGE_RECORDS", 1)
+    monkeypatch.setattr(report, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(report, "_usable_cpus", lambda: 2)
     first, second = range_sites(path)
     if spanning:
@@ -533,6 +542,27 @@ def test_bad_line_in_the_first_range(processes, tmp_path, capsys):
     lines = path.read_bytes().splitlines(keepends=True)
     lines[2] = lines[2][:40] + b"\n"  # line 3, in the first site
     path.write_bytes(b"".join(lines))
+    with pytest.raises(CorpusFormatError) as whole_corpus:
+        read_corpus(path)
+    assert whole_corpus.value.line == 3
+    assert run_cli(["analyze", "--corpus", str(path), "--table", "violations"]) == EXIT_IO
+    assert capsys.readouterr() == ("", f"error: {whole_corpus.value}\n")
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+def test_range_reads_no_line_before_its_start(suffix, processes, tmp_path, capsys):
+    records = make_corpus(seed=2, sites=4, pages_per_site=5)
+    clean = tmp_path / "clean.jsonl"
+    write_corpus(records, clean)
+    lines = clean.read_bytes().splitlines(keepends=True)
+    lines[2] = DAMAGE["undecodable"](lines[2])  # line 3, in the first site
+    path = tmp_path / f"corpus{suffix}"
+    with corpus._binary(path, "wb") as out:
+        out.write(b"".join(lines))
+    whole = [[r.url for r in group] for group in iter_site_groups(clean)]
+    cut = sum(map(len, lines[:1 + len(whole[0])]))  # where the second site begins
+    # The range lands in the second site's run, which the first range owns.
+    assert [[r.url for r in group] for group in iter_site_groups(path, cut)] == whole[2:]
     with pytest.raises(CorpusFormatError) as whole_corpus:
         read_corpus(path)
     assert whole_corpus.value.line == 3
